@@ -3,20 +3,14 @@
 //! ```text
 //! cargo run --release -p pst-bench --bin experiments -- all
 //! cargo run --release -p pst-bench --bin experiments -- fig5
-//! cargo run --release -p pst-bench --bin experiments -- timing --format json
 //! ```
 //!
 //! Subcommands: `table1 fig5 fig6 fig7 fig9 fig10 qpg timing all`.
 //! EXPERIMENTS.md records each output next to the paper's numbers.
 //!
-//! `timing` runs through the `pst-perf` harness machinery: every pass is
-//! sampled repeatedly, summarized with robust statistics
-//! (median/MAD/bootstrap CI), and measured for allocations. The default
-//! `--format text` keeps the human table; `--format json` additionally
-//! writes the measurements as a `BENCH_<label>.json` report
-//! (`--out <path>`, default `BENCH_experiments.json`) in the same
-//! schema `pst bench` produces, so the regression gate can consume
-//! corpus timings too (see docs/BENCHMARKING.md).
+//! `timing` reports the median wall time of 5 runs per pass. The
+//! repository's benchmark (`pstbench/`, see docs/BENCHMARKING.md) is
+//! the place for measurements that are tracked across changes.
 
 use std::time::Instant;
 
@@ -26,36 +20,12 @@ use pst_core::{canonical_regions, ControlRegions, CycleEquiv};
 use pst_dataflow::{solve_iterative, QpgContext, Seg, SingleVariableReachingDefs};
 use pst_dominators::{dominator_tree, iterative_dominator_tree, Direction};
 use pst_lang::VarId;
-use pst_perf::{
-    fmt_ns, AllocStats, BenchConfig, BenchReport, BootstrapConfig, PhaseReport, Summary,
-    WorkloadReport, BENCH_SCHEMA_VERSION,
-};
+use pst_obs::fmt_ns;
 use pst_ssa::{place_phis_cytron, place_phis_pst_unchecked};
-use pst_workloads::PAPER_TABLE;
-
-/// The experiment binary counts its allocations like the `pst` CLI, so
-/// the timing report can attribute memory per pass.
-#[global_allocator]
-static ALLOC: pst_perf::CountingAlloc = pst_perf::CountingAlloc::new();
-
-/// Output mode for `timing`.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-}
+use pst_workloads::{random_cfg, PAPER_TABLE};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let format = match take_value(&mut args, "--format").as_deref() {
-        None | Some("text") => Format::Text,
-        Some("json") => Format::Json,
-        Some(other) => {
-            eprintln!("experiments: `--format` expects text|json, got `{other}`");
-            std::process::exit(2);
-        }
-    };
-    let out = take_value(&mut args, "--out");
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map(String::as_str).unwrap_or("all");
     let run_started = Instant::now();
     if let Ok(target) = std::env::var("PST_JOURNAL") {
@@ -84,7 +54,7 @@ fn main() {
         "fig9" => fig9(&analyses),
         "fig10" => fig10(&analyses),
         "qpg" => qpg(&analyses),
-        "timing" => timing(&analyses, format, out.as_deref()),
+        "timing" => timing(&analyses),
         "all" => {
             table1(&analyses);
             fig5(&analyses);
@@ -93,7 +63,7 @@ fn main() {
             fig9(&analyses);
             fig10(&analyses);
             qpg(&analyses);
-            timing(&analyses, format, out.as_deref());
+            timing(&analyses);
         }
         other => {
             eprintln!(
@@ -109,24 +79,6 @@ fn main() {
         nanos: run_started.elapsed().as_nanos() as u64,
     });
     pst_obs::journal::uninstall();
-}
-
-/// Removes `name <value>` or `name=<value>` from `args` (last one wins).
-fn take_value(args: &mut Vec<String>, name: &str) -> Option<String> {
-    let mut value = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == name && i + 1 < args.len() {
-            args.remove(i);
-            value = Some(args.remove(i));
-        } else if let Some(v) = args[i].strip_prefix(name).and_then(|r| r.strip_prefix('=')) {
-            value = Some(v.to_string());
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    value
 }
 
 /// Per-phase span/counter report for the whole run; `PST_METRICS=<path>`
@@ -381,14 +333,10 @@ fn qpg(analyses: &[ProcAnalysis<'_>]) {
     );
 }
 
-/// §3/§5 timing claims, measured over the whole corpus through the
-/// `pst-perf` harness machinery: every pass yields a sample vector,
-/// summarized with median/MAD/bootstrap-CI, plus one allocation-counted
-/// run. `--format json` writes the result in the `BENCH_<label>.json`
-/// schema so `pst bench --compare` can gate corpus timings too.
-fn timing(analyses: &[ProcAnalysis<'_>], format: Format, out: Option<&str>) {
-    const REPS: usize = 5;
-    println!("## Timing — corpus totals over {REPS} runs (paper: cycle equivalence beats Lengauer-Tarjan; control regions in O(E) beat O(EN) refinement)\n");
+/// §3/§5 timing claims, measured over the whole corpus: each pass runs
+/// [`REPS`] times and reports the median.
+fn timing(analyses: &[ProcAnalysis<'_>]) {
+    println!("## Timing — corpus totals, median of {REPS} runs (paper: cycle equivalence beats Lengauer-Tarjan; control regions in O(E) beat O(EN) refinement)\n");
 
     // The paper's implementation treats the end->start edge implicitly
     // (doubly-linked CFG edges); we materialize S once, outside the timed
@@ -541,66 +489,18 @@ fn timing(analyses: &[ProcAnalysis<'_>], format: Format, out: Option<&str>) {
         ),
     ];
 
-    // Timing reps first, then one allocation-counted run per pass inside
-    // an outer snapshot so phase attribution is checkable against the
-    // total (attributed + unattributed = outer delta).
-    let bootstrap = BootstrapConfig::default();
-    let mut sample_sets: Vec<Vec<u64>> = Vec::with_capacity(passes.len());
-    let mut totals = vec![0u64; REPS];
-    for (_, _, f) in &passes {
-        let mut samples = Vec::with_capacity(REPS);
-        for total in totals.iter_mut() {
-            let t = Instant::now();
-            f();
-            let ns = t.elapsed().as_nanos() as u64;
-            samples.push(ns);
-            *total += ns;
-        }
-        sample_sets.push(samples);
-    }
-    pst_perf::alloc::reset_peak();
-    let outer_before = pst_perf::alloc::snapshot();
-    let mut phases = Vec::with_capacity(passes.len());
-    let mut attributed_bytes = 0u64;
-    for ((name, _, f), samples) in passes.iter().zip(&sample_sets) {
-        pst_perf::alloc::reset_peak();
-        let before = pst_perf::alloc::snapshot();
-        f();
-        let after = pst_perf::alloc::snapshot();
-        let d = pst_perf::alloc::delta(&before, &after);
-        attributed_bytes += d.bytes;
-        phases.push(PhaseReport {
-            name: name.to_string(),
-            time: Summary::from_samples(samples, &bootstrap),
-            alloc: AllocStats {
-                allocs: d.allocs,
-                bytes_total: d.bytes,
-                peak_live_bytes: d.peak_live_bytes,
-            },
-        });
-    }
-    let outer_after = pst_perf::alloc::snapshot();
-    let outer = pst_perf::alloc::delta(&outer_before, &outer_after);
-
-    println!(
-        "{:<44} {:>10} {:>9} {:>10} {:>10}",
-        "pass (corpus total)", "median", "mad", "ci_lo", "ci_hi"
-    );
-    for ((_, label, _), p) in passes.iter().zip(&phases) {
-        println!(
-            "{:<44} {:>10} {:>9} {:>10} {:>10}",
-            label,
-            fmt_ns(p.time.median),
-            fmt_ns(p.time.mad),
-            fmt_ns(p.time.ci_lo),
-            fmt_ns(p.time.ci_hi)
-        );
+    println!("{:<44} {:>10}", "pass (corpus total)", "median");
+    let mut medians = Vec::with_capacity(passes.len());
+    for (name, label, f) in &passes {
+        let median = median_ns(f.as_ref());
+        println!("{:<44} {:>10}", label, fmt_ns(median));
+        medians.push((*name, median.max(1) as f64));
     }
     let median_of = |name: &str| {
-        phases
+        medians
             .iter()
-            .find(|p| p.name == name)
-            .map(|p| p.time.median.max(1) as f64)
+            .find(|(n, _)| *n == name)
+            .map(|&(_, m)| m)
             .expect("pass exists")
     };
     println!(
@@ -612,48 +512,55 @@ fn timing(analyses: &[ProcAnalysis<'_>], format: Format, out: Option<&str>) {
         median_of("control_regions_cfs") / median_of("control_regions_linear")
     );
     println!();
+    refinement_curve();
+}
 
-    if format == Format::Json {
-        let (nodes, edges) = analyses.iter().fold((0u64, 0u64), |(n, e), a| {
-            let cfg = &a.procedure.lowered.cfg;
-            (n + cfg.node_count() as u64, e + cfg.edge_count() as u64)
+/// §5 as a curve: the linear control-region algorithm against the
+/// O(E·N) CFS refinement and FOW set hashing on random CFGs of growing
+/// size. The refinement's gap widens with n; FOW stays fast on average,
+/// as the paper concedes (its weakness is the worst case).
+fn refinement_curve() {
+    println!("## Control regions vs size — random CFGs, median of {REPS} runs (paper §5: refinement is O(EN), ours O(E))\n");
+    println!(
+        "{:>6} {:>6} {:>10} {:>10} {:>10} {:>10}",
+        "n", "edges", "linear", "cfs", "fow", "cfs/linear"
+    );
+    for n in [50usize, 200, 800, 2_000] {
+        let cfg = random_cfg(n, n / 2, 11).expect("generator parameters are valid");
+        let linear = median_ns(&|| {
+            std::hint::black_box(ControlRegions::compute(&cfg));
         });
-        let report = BenchReport {
-            schema_version: BENCH_SCHEMA_VERSION,
-            label: "experiments".to_string(),
-            config: BenchConfig {
-                iters: REPS as u64,
-                warmup: 0,
-                bootstrap,
-                quick: false,
-            },
-            workloads: vec![WorkloadReport {
-                name: "paper_corpus".to_string(),
-                nodes,
-                edges,
-                phases,
-                total_time: Summary::from_samples(&totals, &bootstrap),
-                alloc_total: AllocStats {
-                    allocs: outer.allocs,
-                    bytes_total: outer.bytes,
-                    peak_live_bytes: outer.peak_live_bytes,
-                },
-                alloc_unattributed_bytes: outer.bytes.saturating_sub(attributed_bytes),
-            }],
-            obs: pst_obs::report().to_json(),
-        };
-        let json = report.to_json();
-        if let Err(e) = BenchReport::validate(&json) {
-            eprintln!("experiments: generated report failed self-validation: {e}");
-            std::process::exit(1);
-        }
-        let path = out.unwrap_or("BENCH_experiments.json");
-        match std::fs::write(path, format!("{json}\n")) {
-            Ok(()) => println!("timing report written to {path}\n"),
-            Err(e) => {
-                eprintln!("experiments: cannot write report to `{path}`: {e}");
-                std::process::exit(1);
-            }
-        }
+        let cfs = median_ns(&|| {
+            std::hint::black_box(cfs_control_regions(&cfg));
+        });
+        let fow = median_ns(&|| {
+            std::hint::black_box(fow_control_regions(&cfg));
+        });
+        println!(
+            "{:>6} {:>6} {:>10} {:>10} {:>10} {:>9.1}x",
+            n,
+            cfg.edge_count(),
+            fmt_ns(linear),
+            fmt_ns(cfs),
+            fmt_ns(fow),
+            cfs.max(1) as f64 / linear.max(1) as f64
+        );
     }
+    println!();
+}
+
+/// Runs per timed pass.
+const REPS: usize = 5;
+
+/// Median wall time of [`REPS`] runs of `f`, in nanoseconds.
+fn median_ns(f: &dyn Fn()) -> u64 {
+    let mut samples: Vec<u64> = (0..REPS)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_nanos() as u64
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[REPS / 2]
 }

@@ -1,6 +1,6 @@
-//! Shared analysis helpers for the experiment binary and the Criterion
-//! benches: corpus construction, per-procedure PST analysis, and the
-//! aggregations behind each figure of the paper.
+//! Shared analysis helpers for the experiment binary: corpus
+//! construction, per-procedure PST analysis, and the aggregations behind
+//! each figure of the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -18,11 +18,6 @@
 //! pst lint <file.mini | -> [--edges] [--json] [--dot <path>]
 //!          [--allow <rule>] [--deny <rule>]
 //! pst fuzz --seed-range <A>..<B> [--budget-ms <N>] [--out-dir <dir>]
-//! pst bench [--quick] [--label <name>] [--out <path>] [--iters <N>]
-//!           [--warmup <N>] [--compare <baseline.json>]
-//!           [--candidate <report.json>] [--threshold <pct>]
-//!           [--alloc-threshold <pct>] [--trace-out <file>]
-//!           [--format text|json]
 //! ```
 //!
 //! `--canonicalize` reads a raw `a->b`-style edge list (node 0 is the
@@ -44,17 +39,10 @@
 //! rules; `--json` emits machine-readable reports; `--dot` writes a
 //! Graphviz dump with the findings highlighted.
 //!
-//! `bench` runs the deterministic in-process benchmark harness of
-//! `pst-perf` over the standard workload matrix, writes a versioned
-//! `BENCH_<label>.json` report (robust per-phase statistics, allocation
-//! totals, embedded observability span tree), gates against a baseline
-//! with `--compare`, and exports Chrome `trace_event` JSON with
-//! `--trace-out` (see `docs/BENCHMARKING.md`).
-//!
 //! `-` reads the program from stdin. Exit codes: 0 ok, 1 analysis error,
 //! 2 usage error, 3 invariant-checker violation, 4 contained panic
 //! (a contained panic takes precedence over a violation), 5 lint
-//! findings, 6 performance regression (`pst bench --compare`).
+//! findings.
 //!
 //! Observability (see `docs/OBSERVABILITY.md`): `--trace` prints the
 //! recorded phase tree and counters to stderr; `--metrics-json <path>`
@@ -62,11 +50,11 @@
 //! environment variable supplies a default for `--metrics-json`.
 //!
 //! `--journal <path>` appends one JSON line per structured event (run
-//! lifecycle, per-unit summaries, lint findings, fuzz crashes, bench
-//! gate verdicts) to `<path>` (`-` = stderr); `PST_JOURNAL` supplies the
-//! default and `PST_TRACE_SEED` pins the run's trace id for
-//! reproducible journals. `pst obs <file>...` aggregates journals,
-//! metrics JSON, and `BENCH_*.json` reports into one fleet view.
+//! lifecycle, per-unit summaries, lint findings, fuzz crashes, serve
+//! slow requests) to `<path>` (`-` = stderr); `PST_JOURNAL` supplies
+//! the default and `PST_TRACE_SEED` pins the run's trace id for
+//! reproducible journals. `pst obs <file>...` aggregates journals and
+//! metrics JSON into one fleet view.
 //!
 //! `serve` runs the long-lived analysis daemon: newline-delimited
 //! JSON-RPC over stdin/stdout (or TCP with `--listen addr:port`), with
@@ -78,18 +66,11 @@
 // verify.sh runs clippy with warnings as errors to keep it that way.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-mod bench;
 mod fuzz;
 mod lint;
 mod obs;
 mod serve;
 mod top;
-
-/// Every `pst` process counts its allocations: the observability layer
-/// and `pst bench` read the totals, and the per-allocation cost is a
-/// handful of relaxed atomic increments.
-#[global_allocator]
-static ALLOC: pst_perf::CountingAlloc = pst_perf::CountingAlloc::new();
 
 use std::io::Read as _;
 use std::process::ExitCode;
@@ -108,9 +89,7 @@ const USAGE: &str = "usage: pst <regions|kinds|dot|clusters|control-regions|ssa|
      [--allow <rule>] [--deny <rule>]\n       \
      pst lint --explain <rule>\n       \
      pst fuzz --seed-range <A>..<B> [--budget-ms <N>] [--out-dir <dir>]\n       \
-     pst bench [--quick] [--label <name>] [--out <path>] [--compare <baseline.json>] \
-     [--trace-out <file>]\n       \
-     pst obs <journal|metrics.json|BENCH_*.json>... [--format text|json] \
+     pst obs <journal|metrics.json>... [--format text|json] \
      [--level info|warn|error] [--type <event-type>] [--top <N>]\n       \
      pst serve [--listen <addr:port>] [--workers <N>] [--request-timeout-ms <N>] \
      [--max-inflight <N>] [--cache-entries <N>] [--cache-bytes <N>] \
@@ -173,12 +152,6 @@ fn main() -> ExitCode {
             Ok(opts) => fuzz::fuzz_command(&opts),
             Err(msg) => Err(Failure::Usage(msg)),
         }
-    } else if !canonicalize_mode && args.first().map(String::as_str) == Some("bench") {
-        args.remove(0);
-        match bench::BenchOptions::from_args(&mut args) {
-            Ok(opts) => bench::bench_command(&opts),
-            Err(msg) => Err(Failure::Usage(msg)),
-        }
     } else if !canonicalize_mode && args.first().map(String::as_str) == Some("lint") {
         args.remove(0);
         match lint::LintOptions::from_args(&mut args, options) {
@@ -228,10 +201,6 @@ fn main() -> ExitCode {
         Err(Failure::Lint(count)) => {
             eprintln!("pst: {count} lint finding(s)");
             5
-        }
-        Err(Failure::Regression(count)) => {
-            eprintln!("pst: {count} performance regression finding(s)");
-            6
         }
     };
     finish_journal(&command, code, started);
@@ -343,7 +312,7 @@ fn emit_observability(trace: bool, json_path: Option<&str>) {
     }
 }
 
-/// Every way a command can fail, ordered by exit code (2, 1, 3, 4).
+/// Every way a command can fail, ordered by exit code (2, 1, 3, 4, 5).
 /// A contained panic takes precedence over a checker violation when the
 /// fuzz loop sees both.
 #[derive(Debug)]
@@ -357,9 +326,6 @@ pub enum Failure {
     /// `pst lint` found this many diagnostics (exit 5). Not an error —
     /// the report was already printed.
     Lint(usize),
-    /// `pst bench --compare` found this many regressions beyond the
-    /// gate's thresholds (exit 6). The comparison was already printed.
-    Regression(usize),
 }
 
 /// Reads the input (file path, or `-` for stdin) as UTF-8 text with

@@ -1,11 +1,11 @@
 //! `pst obs` — fleet-level aggregation of telemetry artifacts.
 //!
-//! Reads any mix of structured-event journals (`--journal` JSONL),
-//! metrics reports (`--metrics-json` output), and `BENCH_<label>.json`
-//! benchmark reports, and renders one merged view: global histograms
-//! (exact integer bucket merges), the top-N slowest units across every
-//! run, and the journal event stream filtered by `--level` (minimum
-//! severity) and `--type` (exact event type).
+//! Reads any mix of structured-event journals (`--journal` JSONL) and
+//! metrics reports (`--metrics-json` output), and renders one merged
+//! view: global histograms (exact integer bucket merges), the top-N
+//! slowest units across every run, and the journal event stream
+//! filtered by `--level` (minimum severity) and `--type` (exact event
+//! type).
 //!
 //! Each input file should describe a *different* run: a run's journal
 //! mirrors its per-unit summaries, so feeding both the journal and the
@@ -30,7 +30,7 @@ pub enum Format {
 
 /// Parsed `pst obs` options.
 pub struct ObsOptions {
-    /// Input artifacts: journals, metrics JSON, or BENCH reports.
+    /// Input artifacts: journals or metrics JSON.
     pub inputs: Vec<String>,
     /// Output format.
     pub format: Format,
@@ -57,13 +57,12 @@ impl ObsOptions {
         };
         let event_type = take_value_flag(args, "--type")?;
         if let Some(t) = &event_type {
-            const TYPES: [&str; 6] = [
+            const TYPES: [&str; 5] = [
                 "run_start",
                 "run_end",
                 "unit_summary",
                 "lint_finding",
                 "fuzz_crash",
-                "bench_verdict",
             ];
             if !TYPES.contains(&t.as_str()) {
                 return Err(format!(
@@ -85,7 +84,7 @@ impl ObsOptions {
         }
         let inputs = std::mem::take(args);
         if inputs.is_empty() {
-            return Err("obs expects at least one journal/metrics/BENCH file".to_string());
+            return Err("obs expects at least one journal or metrics file".to_string());
         }
         Ok(ObsOptions {
             inputs,
@@ -102,7 +101,6 @@ impl ObsOptions {
 enum InputKind {
     Journal,
     Metrics,
-    Bench,
 }
 
 impl InputKind {
@@ -110,7 +108,6 @@ impl InputKind {
         match self {
             InputKind::Journal => "journal",
             InputKind::Metrics => "metrics",
-            InputKind::Bench => "bench",
         }
     }
 }
@@ -149,20 +146,12 @@ impl Fleet {
                 "`{path}` is neither a journal nor a JSON document: {e}"
             ))
         })?;
-        if json.get("schema_version").is_some() {
-            // A BENCH report embeds the run's full observability report
-            // under "obs"; aggregate its histograms and units.
-            if let Some(obs) = json.get("obs") {
-                self.merge_report_json(path, obs)?;
-            }
-            return Ok(InputKind::Bench);
-        }
         if json.get("counters").is_some() || json.get("spans").is_some() {
             self.merge_report_json(path, &json)?;
             return Ok(InputKind::Metrics);
         }
         Err(Failure::Analysis(format!(
-            "`{path}` is not a journal, metrics report, or BENCH report"
+            "`{path}` is not a journal or a metrics report"
         )))
     }
 
@@ -192,9 +181,9 @@ impl Fleet {
         Ok(())
     }
 
-    /// Merges the "histograms" and "units" sections of a metrics report
-    /// (or the "obs" object of a BENCH report). Reports written by a
-    /// build without the `obs` feature simply lack the keys.
+    /// Merges the "histograms" and "units" sections of a metrics report.
+    /// Reports written by a build without the `obs` feature simply lack
+    /// the keys.
     fn merge_report_json(&mut self, path: &str, json: &Json) -> Result<(), Failure> {
         let malformed =
             |what: &str| Failure::Analysis(format!("`{path}`: malformed `{what}` section"));
@@ -292,7 +281,7 @@ impl Fleet {
                     "  {:>3}. {:<40} {:>10} ({}x)",
                     i + 1,
                     name,
-                    pst_perf::fmt_ns(u.nanos),
+                    pst_obs::fmt_ns(u.nanos),
                     u.count
                 );
             }

@@ -23,12 +23,17 @@ fn run(args: &[&str], stdin: Option<&str>) -> (String, String, i32) {
     }
     let mut child = cmd.spawn().expect("binary runs");
     if let Some(input) = stdin {
-        child
+        // A command that rejects its arguments exits without reading
+        // stdin, so the write can race its exit and hit a closed pipe;
+        // the exit code and output still say what happened.
+        let written = child
             .stdin
             .as_mut()
             .expect("stdin piped")
-            .write_all(input.as_bytes())
-            .expect("write stdin");
+            .write_all(input.as_bytes());
+        if let Err(e) = written {
+            assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "write stdin: {e}");
+        }
     }
     let out = child.wait_with_output().expect("wait");
     (
@@ -39,9 +44,16 @@ fn run(args: &[&str], stdin: Option<&str>) -> (String, String, i32) {
 }
 
 fn sample_file() -> std::path::PathBuf {
-    let path = std::env::temp_dir().join("pst_cli_sample.mini");
-    std::fs::write(&path, SAMPLE).expect("write sample");
-    path
+    // Written once per test process: tests run in parallel, and
+    // rewriting one shared file truncates it under a concurrent reader.
+    static PATH: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
+    PATH.get_or_init(|| {
+        let name = format!("pst_cli_sample_{}.mini", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        std::fs::write(&path, SAMPLE).expect("write sample");
+        path
+    })
+    .clone()
 }
 
 #[test]
@@ -225,10 +237,10 @@ fn lint_dot_export_highlights_findings() {
     assert!(dot.contains("color=red"), "{dot}");
 }
 
-// --- pst bench ------------------------------------------------------------
+// --- commands that write files ---------------------------------------------
 
-/// Like [`run`], but with the working directory pinned (bench writes its
-/// report relative to the cwd).
+/// Like [`run`], but with the working directory pinned (journals,
+/// metrics and snapshots are written relative to the cwd).
 fn run_in(dir: &std::path::Path, args: &[&str]) -> (String, String, i32) {
     let out = Command::new(env!("CARGO_BIN_EXE_pst"))
         .args(args)
@@ -244,142 +256,12 @@ fn run_in(dir: &std::path::Path, args: &[&str]) -> (String, String, i32) {
     )
 }
 
-fn bench_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("pst_cli_bench_{name}"));
+/// A fresh, empty per-test directory under the system temp dir.
+fn work_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("pst_cli_{name}"));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create bench dir");
+    std::fs::create_dir_all(&dir).expect("create work dir");
     dir
-}
-
-/// A fast bench invocation: tiny iteration count, quick matrix.
-const QUICK: &[&str] = &["bench", "--quick", "--iters", "2", "--warmup", "0"];
-
-#[test]
-fn bench_quick_writes_schema_valid_report_and_trace() {
-    let dir = bench_dir("report");
-    let mut args = QUICK.to_vec();
-    args.extend(["--label", "e2e", "--trace-out", "trace.json"]);
-    let (out, err, code) = run_in(&dir, &args);
-    assert_eq!(code, 0, "stdout: {out}\nstderr: {err}");
-    assert!(out.contains("report written to BENCH_e2e.json"), "{out}");
-
-    let text = std::fs::read_to_string(dir.join("BENCH_e2e.json")).expect("report written");
-    let report = pst_perf::BenchReport::parse(&text).expect("schema-valid report");
-    assert_eq!(report.label, "e2e");
-    assert!(report.config.quick && report.config.iters == 2);
-    assert!(!report.workloads.is_empty());
-    for w in &report.workloads {
-        assert!(!w.phases.is_empty(), "workload {} has phases", w.name);
-        for p in &w.phases {
-            assert_eq!(p.time.samples, 2);
-            assert!(p.time.ci_lo <= p.time.median && p.time.median <= p.time.ci_hi);
-        }
-        // The allocator is installed in the binary, so the pipeline must
-        // have allocated, and phase attribution can't exceed the total.
-        assert!(w.alloc_total.bytes_total > 0, "workload {}", w.name);
-        let attributed: u64 = w.phases.iter().map(|p| p.alloc.bytes_total).sum();
-        assert_eq!(
-            attributed + w.alloc_unattributed_bytes,
-            w.alloc_total.bytes_total,
-            "workload {}",
-            w.name
-        );
-    }
-    // The CLI builds with observability on by default, so the embedded
-    // obs report has spans and the trace export is non-trivial.
-    let spans = report.obs.get("spans").expect("obs spans");
-    assert!(matches!(spans, pst_obs::json::Json::Arr(s) if !s.is_empty()));
-
-    let trace_text = std::fs::read_to_string(dir.join("trace.json")).expect("trace written");
-    let trace = pst_obs::json::Json::parse(&trace_text).expect("trace parses");
-    pst_perf::validate_chrome_trace(&trace).expect("trace schema");
-}
-
-#[test]
-fn bench_compare_passes_on_identical_reports_and_gates_regressions() {
-    let dir = bench_dir("compare");
-    let mut args = QUICK.to_vec();
-    args.extend(["--label", "base"]);
-    let (_, err, code) = run_in(&dir, &args);
-    assert_eq!(code, 0, "{err}");
-
-    // Identical baseline and candidate: the gate must stay quiet.
-    let (out, _, code) = run_in(
-        &dir,
-        &[
-            "bench",
-            "--compare",
-            "BENCH_base.json",
-            "--candidate",
-            "BENCH_base.json",
-        ],
-    );
-    assert_eq!(code, 0, "{out}");
-    assert!(out.contains("regression gate: PASS"), "{out}");
-
-    // Shrink every baseline number 100x: the candidate now regresses
-    // everything, with disjoint CIs — exit code 6.
-    let text = std::fs::read_to_string(dir.join("BENCH_base.json")).expect("report");
-    let mut shrunk = pst_perf::BenchReport::parse(&text).expect("valid report");
-    let shrink = |s: &mut pst_perf::Summary| {
-        s.min = (s.min / 100).max(1);
-        s.median = (s.median / 100).max(1);
-        s.max = (s.max / 100).max(s.median);
-        s.mad /= 100;
-        s.ci_lo = (s.ci_lo / 100).max(1).min(s.median);
-        s.ci_hi = (s.ci_hi / 100).max(s.median);
-        s.mean /= 100.0;
-        // Quantiles must stay internally consistent (p50 <= p90 <= p99
-        // within [min, max]) or schema validation rejects the report.
-        s.p50 = (s.p50 / 100).clamp(s.min, s.max);
-        s.p90 = (s.p90 / 100).clamp(s.p50, s.max);
-        s.p99 = (s.p99 / 100).clamp(s.p90, s.max);
-    };
-    for w in &mut shrunk.workloads {
-        for p in &mut w.phases {
-            shrink(&mut p.time);
-            p.alloc.allocs /= 100;
-            p.alloc.bytes_total /= 100;
-        }
-        shrink(&mut w.total_time);
-        w.alloc_total.allocs /= 100;
-        w.alloc_total.bytes_total /= 100;
-    }
-    std::fs::write(
-        dir.join("BENCH_shrunk.json"),
-        format!("{}\n", shrunk.to_json()),
-    )
-    .expect("write shrunk baseline");
-    let (out, err, code) = run_in(
-        &dir,
-        &[
-            "bench",
-            "--compare",
-            "BENCH_shrunk.json",
-            "--candidate",
-            "BENCH_base.json",
-        ],
-    );
-    assert_eq!(code, 6, "stdout: {out}\nstderr: {err}");
-    assert!(out.contains("regression gate: FAIL"), "{out}");
-    assert!(err.contains("performance regression finding(s)"), "{err}");
-}
-
-#[test]
-fn bench_usage_errors_exit_2() {
-    let dir = bench_dir("usage");
-    // --candidate without --compare is meaningless.
-    let (_, err, code) = run_in(&dir, &["bench", "--candidate", "x.json"]);
-    assert_eq!(code, 2);
-    assert!(err.contains("--candidate"), "{err}");
-    // A malformed baseline is caught by schema validation (exit 1).
-    std::fs::write(dir.join("bad.json"), "{\"schema_version\": 99}").expect("write");
-    let (_, err, code) = run_in(
-        &dir,
-        &["bench", "--compare", "bad.json", "--candidate", "bad.json"],
-    );
-    assert_eq!(code, 1, "{err}");
-    assert!(err.contains("not a valid report"), "{err}");
 }
 
 // --- journal + pst obs ----------------------------------------------------
@@ -417,7 +299,7 @@ fn parse_journal(path: &std::path::Path) -> Vec<pst_obs::journal::Record> {
 
 #[test]
 fn journal_records_run_lifecycle_and_unit_summaries() {
-    let dir = bench_dir("journal");
+    let dir = work_dir("journal");
     std::fs::write(dir.join("two.mini"), TWO_FNS).expect("write program");
     let (_, err, code) = run_env(
         &dir,
@@ -486,7 +368,7 @@ fn journal_records_run_lifecycle_and_unit_summaries() {
 
 #[test]
 fn obs_merges_two_journals_and_agrees_with_metrics() {
-    let dir = bench_dir("obs");
+    let dir = work_dir("obs");
     std::fs::write(dir.join("two.mini"), TWO_FNS).expect("write program");
     for i in 1..=2 {
         let (_, err, code) = run_env(
@@ -553,106 +435,13 @@ fn obs_merges_two_journals_and_agrees_with_metrics() {
     assert!(ranked.windows(2).all(|w| w[0].1 >= w[1].1), "{ranked:?}");
 }
 
-#[test]
-fn bench_compare_gates_tail_only_regression_exit_6() {
-    use pst_perf::{AllocStats, PhaseReport, Summary, WorkloadReport};
-
-    // Identical medians within the threshold, disjoint CIs, and a 4.5x
-    // p99 blowup: only the tail gate should fire.
-    let summary = |median: u64, half: u64, p99: u64| Summary {
-        samples: 30,
-        min: median - 2 * half,
-        max: p99.max(median + 2 * half),
-        median,
-        mad: half,
-        ci_lo: median - half,
-        ci_hi: median + half,
-        mean: median as f64,
-        p50: median,
-        p90: median + half,
-        p99,
-    };
-    let report = |label: &str, s: Summary| pst_perf::BenchReport {
-        schema_version: pst_perf::BENCH_SCHEMA_VERSION,
-        label: label.to_string(),
-        config: pst_perf::BenchConfig {
-            iters: 30,
-            warmup: 5,
-            bootstrap: pst_perf::BootstrapConfig::default(),
-            quick: false,
-        },
-        workloads: vec![WorkloadReport {
-            name: "w".to_string(),
-            nodes: 64,
-            edges: 96,
-            phases: vec![PhaseReport {
-                name: "pst".to_string(),
-                time: s.clone(),
-                alloc: AllocStats {
-                    allocs: 100,
-                    bytes_total: 8192,
-                    peak_live_bytes: 8192,
-                },
-            }],
-            total_time: s,
-            alloc_total: AllocStats {
-                allocs: 100,
-                bytes_total: 8192,
-                peak_live_bytes: 8192,
-            },
-            alloc_unattributed_bytes: 0,
-        }],
-        obs: pst_obs::json::Json::Obj(Vec::new()),
-    };
-    let baseline = report("base", summary(10_000, 200, 11_000));
-    let candidate = report("cand", summary(10_600, 50, 50_000));
-
-    let dir = bench_dir("tailgate");
-    std::fs::write(dir.join("base.json"), format!("{}\n", baseline.to_json())).expect("write");
-    std::fs::write(dir.join("cand.json"), format!("{}\n", candidate.to_json())).expect("write");
-    let (out, err, code) = run_in(
-        &dir,
-        &[
-            "bench",
-            "--compare",
-            "base.json",
-            "--candidate",
-            "cand.json",
-            "--journal",
-            "j.jsonl",
-        ],
-    );
-    assert_eq!(code, 6, "stdout: {out}\nstderr: {err}");
-    assert!(out.contains("[p99]"), "{out}");
-    assert!(!out.contains("[time]"), "{out}");
-
-    // The verdict is journaled for fleet aggregation.
-    let records = parse_journal(&dir.join("j.jsonl"));
-    let verdict = records
-        .iter()
-        .find_map(|r| match &r.event {
-            pst_obs::journal::Event::BenchVerdict {
-                baseline,
-                candidate,
-                findings,
-                passed,
-            } => Some((baseline.clone(), candidate.clone(), *findings, *passed)),
-            _ => None,
-        })
-        .expect("bench_verdict journaled");
-    assert_eq!(
-        verdict,
-        ("base.json".to_string(), "cand.json".to_string(), 2, false)
-    );
-}
-
 /// A contained fuzz crash must leave a `fuzz_crash` journal event whose
 /// reproducer path points at the minimized edge list. Clean builds never
 /// crash, so this runs only with `--features fault-inject`.
 #[cfg(feature = "fault-inject")]
 #[test]
 fn fuzz_crash_lands_in_journal_with_reproducer() {
-    let dir = bench_dir("fuzzjournal");
+    let dir = work_dir("fuzzjournal");
     let (out, err, code) = run_in(
         &dir,
         &[
@@ -772,7 +561,7 @@ fn serve_answers_every_method_over_ndjson() {
 
 #[test]
 fn serve_repeat_queries_come_from_the_cache() {
-    let dir = bench_dir("serve_cache");
+    let dir = work_dir("serve_cache");
     let input = format!(
         "{}\n{}\n{}\n",
         source_request(1, "pst"),
@@ -886,7 +675,7 @@ fn serve_registered_units_answer_by_id() {
 
 #[test]
 fn serve_journals_one_unit_summary_per_request() {
-    let dir = bench_dir("serve_journal");
+    let dir = work_dir("serve_journal");
     let input = format!(
         "{}\n{}\n",
         source_request(1, "pst"),
@@ -992,7 +781,7 @@ fn serve_stdio_drain_acknowledges_in_flight_then_exits() {
 
 #[test]
 fn serve_snapshot_warm_restart_hits_cache_on_first_query() {
-    let dir = bench_dir("serve_snapshot");
+    let dir = work_dir("serve_snapshot");
     let snap = dir.join("cache.snapshot");
     let snap = snap.to_str().unwrap();
 
@@ -1029,7 +818,7 @@ fn serve_snapshot_warm_restart_hits_cache_on_first_query() {
 
 #[test]
 fn serve_corrupt_snapshot_means_cold_start_not_death() {
-    let dir = bench_dir("serve_snapshot_corrupt");
+    let dir = work_dir("serve_snapshot_corrupt");
     let snap = dir.join("cache.snapshot");
     std::fs::write(&snap, "{\"pst_snapshot\":1,\"entries\":9}\ngarbage").unwrap();
     let input = format!(
@@ -1443,7 +1232,7 @@ fn serve_tcp_metrics_listener_answers_scrapes_and_pst_top_snapshots() {
 #[test]
 fn serve_slowlog_attributes_injected_stalls_and_journals_slow_requests() {
     use pst_obs::json::Json;
-    let dir = bench_dir("serve_slowlog");
+    let dir = work_dir("serve_slowlog");
     let journal = dir.join("journal.jsonl");
     let journal_arg = journal.to_string_lossy().into_owned();
     let input = format!(

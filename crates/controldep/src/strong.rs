@@ -14,8 +14,8 @@
 //! [`StrongControlDeps`] is the artifact the rest of the workspace
 //! consumes: `pst-analysis` mines it for the `PST-C1xx` lint family,
 //! `pst serve` ships it as the `controldep` method, `pst-verify`
-//! re-derives every piece through naive path oracles, and `pst-perf`
-//! times its phases against the Theorem-7 pipeline.
+//! re-derives every piece through naive path oracles, and `pstbench`
+//! times it on the serve-mix workload (`controldep.strong.ms.p99`).
 
 use std::collections::HashMap;
 

@@ -16,9 +16,10 @@
 //! `max`, `count`, and `sum` are tracked exactly alongside the buckets;
 //! quantile answers are clamped into `[min, max]`.
 //!
-//! The struct is always compiled (the `pst-perf` statistics use it
-//! offline); only the [`histogram!`](crate::histogram) *recording* macro
-//! is gated on the `enabled` feature.
+//! The struct is always compiled (the serve daemon's live windows and
+//! the `pst obs` fleet merge use it directly); only the
+//! [`histogram!`](crate::histogram) *recording* macro is gated on the
+//! `enabled` feature.
 
 use crate::json::Json;
 

@@ -3,8 +3,8 @@
 //! The metrics report answers "what did this run measure"; the journal
 //! answers "what *happened*, across runs": a durable, append-only JSONL
 //! stream of typed events — run start/end, per-unit summaries, lint
-//! findings, fuzz crashes, serve slowlog entries, bench gate verdicts —
-//! that `pst obs` can merge across many runs into one fleet view.
+//! findings, fuzz crashes, serve slowlog entries — that `pst obs` can
+//! merge across many runs into one fleet view.
 //!
 //! Each line is one [`Record`]: a monotonic sequence offset (`seq`), a
 //! run-scoped trace id (deterministic when the run was seeded via
@@ -62,7 +62,7 @@ impl Level {
 pub enum Event {
     /// A subcommand started.
     RunStart {
-        /// The subcommand (`regions`, `lint`, `fuzz`, `bench`,
+        /// The subcommand (`regions`, `lint`, `fuzz`, `serve`,
         /// `experiments`, ...).
         command: String,
         /// Arguments after the subcommand, as given.
@@ -122,17 +122,6 @@ pub enum Event {
         /// Nanoseconds spent in the analysis compute phase.
         compute_nanos: u64,
     },
-    /// The outcome of a `pst bench --compare` gate.
-    BenchVerdict {
-        /// Baseline file the candidate was gated against.
-        baseline: String,
-        /// Candidate file (or label) that was gated.
-        candidate: String,
-        /// Number of regression findings.
-        findings: u64,
-        /// Whether the gate passed.
-        passed: bool,
-    },
 }
 
 impl Event {
@@ -145,7 +134,6 @@ impl Event {
             Event::LintFinding { .. } => "lint_finding",
             Event::FuzzCrash { .. } => "fuzz_crash",
             Event::SlowRequest { .. } => "slow_request",
-            Event::BenchVerdict { .. } => "bench_verdict",
         }
     }
 
@@ -155,9 +143,7 @@ impl Event {
             Event::RunStart { .. } | Event::RunEnd { .. } | Event::UnitSummary { .. } => {
                 Level::Info
             }
-            Event::LintFinding { .. } | Event::SlowRequest { .. } | Event::BenchVerdict { .. } => {
-                Level::Warn
-            }
+            Event::LintFinding { .. } | Event::SlowRequest { .. } => Level::Warn,
             Event::FuzzCrash { .. } => Level::Error,
         }
     }
@@ -231,17 +217,6 @@ impl Event {
                 ("total_nanos", Json::UInt(*total_nanos)),
                 ("compute_nanos", Json::UInt(*compute_nanos)),
             ]),
-            Event::BenchVerdict {
-                baseline,
-                candidate,
-                findings,
-                passed,
-            } => Json::obj([
-                ("baseline", Json::Str(baseline.clone())),
-                ("candidate", Json::Str(candidate.clone())),
-                ("findings", Json::UInt(*findings)),
-                ("passed", Json::Bool(*passed)),
-            ]),
         }
     }
 
@@ -303,15 +278,6 @@ impl Event {
                 total_nanos: data.get("total_nanos")?.as_u64()?,
                 compute_nanos: data.get("compute_nanos")?.as_u64()?,
             }),
-            "bench_verdict" => Some(Event::BenchVerdict {
-                baseline: s(data, "baseline")?,
-                candidate: s(data, "candidate")?,
-                findings: data.get("findings")?.as_u64()?,
-                passed: match data.get("passed")? {
-                    Json::Bool(b) => *b,
-                    _ => return None,
-                },
-            }),
             _ => None,
         }
     }
@@ -335,7 +301,7 @@ impl Record {
     ///
     /// ```json
     /// {"seq": 0, "trace": "9b60933458e17dc1", "level": "info",
-    ///  "type": "run_start", "data": {"command": "bench", "args": []}}
+    ///  "type": "run_start", "data": {"command": "regions", "args": []}}
     /// ```
     pub fn to_json(&self) -> Json {
         Json::obj([

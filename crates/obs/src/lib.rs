@@ -16,12 +16,12 @@
 //!    [`RollingCounter`]) rotated on an injectable tick clock.
 //! 3. **Unit-scoped trace contexts** — [`UnitScope::enter`]`("main#f")`
 //!    attributes everything recorded while the guard lives to that unit
-//!    (a function, fuzz case, bench workload, shard item) *as well as*
+//!    (a function, fuzz case, serve request, shard item) *as well as*
 //!    the global aggregate, producing per-unit sub-reports in
 //!    [`Report::units`].
 //! 4. **A structured event journal** — [`journal`] appends typed JSONL
 //!    events (run start/end, unit summaries, lint findings, fuzz
-//!    crashes, bench verdicts) carrying a deterministic-when-seeded
+//!    crashes, slow serve requests) carrying a deterministic-when-seeded
 //!    trace id and a monotonic sequence offset.
 //! 5. **A hand-rolled JSON emitter** — [`json::Json`] serializes span
 //!    trees, counters, and `PstStats` without serde (the build
@@ -33,9 +33,9 @@
 //! on: `Span::enter` returns a zero-sized guard, `counter!` expands to a
 //!  call into an empty `#[inline(always)]` function, and [`report`]
 //! returns an empty report. Library crates expose this as their own
-//! `obs` feature (default **off**); the CLI and bench harness turn it on
-//! by default. See `docs/OBSERVABILITY.md` for naming conventions and
-//! the report schema.
+//! `obs` feature (default **off**); the CLI and the `experiments` binary
+//! turn it on by default. See `docs/OBSERVABILITY.md` for naming
+//! conventions and the report schema.
 //!
 //! # Examples
 //!
@@ -176,7 +176,7 @@ impl Drop for SpanGuard {
 /// count and folds its tallies into [`Report::units`].
 ///
 /// Units are dynamic ids — a function (`file#fn`), a fuzz seed
-/// (`seed:42`), a bench workload, a batch shard item — so names are
+/// (`seed:42`), a serve request, a batch shard item — so names are
 /// owned `String`s, unlike the `&'static str` metric names. Nested
 /// scopes attribute to the innermost unit only. Like spans, unit state
 /// is thread-local and lock-free; it folds into the global aggregate
@@ -229,11 +229,6 @@ pub struct SpanNode {
     pub count: u64,
     /// Total wall-time spent inside, in nanoseconds.
     pub nanos: u64,
-    /// Nanoseconds between the process-wide observability epoch (the
-    /// first span entered anywhere) and the first entry of this span.
-    /// Lets exporters place merged spans on a shared timeline — see
-    /// `pst-perf`'s Chrome `trace_event` export.
-    pub start_nanos: u64,
     /// Nested spans, in first-entry order.
     pub children: Vec<SpanNode>,
 }
@@ -243,7 +238,6 @@ impl SpanNode {
     fn merge_from(&mut self, other: &SpanNode) {
         self.count += other.count;
         self.nanos += other.nanos;
-        self.start_nanos = self.start_nanos.min(other.start_nanos);
         for child in &other.children {
             match self.children.iter_mut().find(|c| c.name == child.name) {
                 Some(mine) => mine.merge_from(child),
@@ -257,7 +251,6 @@ impl SpanNode {
             ("name", Json::Str(self.name.clone())),
             ("count", Json::UInt(self.count)),
             ("nanos", Json::UInt(self.nanos)),
-            ("start_nanos", Json::UInt(self.start_nanos)),
             (
                 "children",
                 Json::Arr(self.children.iter().map(SpanNode::to_json).collect()),
@@ -277,9 +270,9 @@ impl SpanNode {
             ms,
             indent = depth * 2
         );
-        // Children are stored in first-entry order (which exporters
-        // need for timelines) but *rendered* by name so the text trace
-        // is byte-stable across runs and thread interleavings.
+        // Children are stored in first-entry order but *rendered* by
+        // name so the text trace is byte-stable across runs and thread
+        // interleavings.
         let mut children: Vec<&SpanNode> = self.children.iter().collect();
         children.sort_by(|a, b| a.name.cmp(&b.name));
         for c in children {
@@ -422,7 +415,7 @@ impl Report {
     ///
     /// ```json
     /// {"spans": [{"name": "...", "count": 1, "nanos": 123,
-    ///             "start_nanos": 0, "children": [...]}, ...],
+    ///             "children": [...]}, ...],
     ///  "counters": {"brackets_pushed": 42, ...},
     ///  "gauges": {"cfg_nodes": 7, ...},
     ///  "histograms": {"phase_nanos_parse": {"count": 3, ...}, ...},
@@ -515,6 +508,20 @@ impl Report {
     }
 }
 
+/// Formats a nanosecond duration with an adaptive unit (`ns`, `µs`,
+/// `ms`, `s`) and two decimals, for human-readable tables.
+pub fn fmt_ns(ns: u64) -> String {
+    if ns >= 1_000_000_000 {
+        format!("{:.2}s", ns as f64 / 1e9)
+    } else if ns >= 1_000_000 {
+        format!("{:.2}ms", ns as f64 / 1e6)
+    } else if ns >= 1_000 {
+        format!("{:.2}µs", ns as f64 / 1e3)
+    } else {
+        format!("{ns}ns")
+    }
+}
+
 /// Snapshots all spans, counters, and gauges recorded so far: the
 /// global aggregate (threads that exited) folded with the calling
 /// thread's live state. Empty when the `enabled` feature is off.
@@ -589,22 +596,8 @@ mod imp {
     use super::{Histogram, Report, SpanNode, UnitReport};
     use std::cell::RefCell;
     use std::collections::BTreeMap;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
+    use std::sync::{Mutex, MutexGuard};
     use std::time::Instant;
-
-    /// Process-wide time origin for span `start_nanos` offsets: the
-    /// instant the first span (on any thread) is entered. Shared so
-    /// offsets from different threads land on one comparable timeline.
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-
-    /// Nanoseconds since the process epoch (which this call may mint).
-    fn epoch_offset_nanos() -> u64 {
-        EPOCH
-            .get_or_init(Instant::now)
-            .elapsed()
-            .as_nanos()
-            .min(u64::MAX as u128) as u64
-    }
 
     /// Locks the global aggregate, recovering from poisoning: a panic
     /// on some other thread must never silently discard every later
@@ -620,7 +613,6 @@ mod imp {
         names: Vec<&'static str>,
         counts: Vec<u64>,
         nanos: Vec<u64>,
-        starts: Vec<u64>,
         children: Vec<Vec<usize>>,
     }
 
@@ -635,7 +627,6 @@ mod imp {
             self.names.push(name);
             self.counts.push(0);
             self.nanos.push(0);
-            self.starts.push(u64::MAX);
             self.children.push(Vec::new());
             self.names.len() - 1
         }
@@ -657,10 +648,6 @@ mod imp {
                 name: self.names[node].to_string(),
                 count: self.counts[node],
                 nanos: self.nanos[node],
-                start_nanos: match self.starts[node] {
-                    u64::MAX => 0,
-                    s => s,
-                },
                 children: self.children[node]
                     .iter()
                     .map(|&c| self.snapshot(c))
@@ -793,14 +780,11 @@ mod imp {
     }
 
     pub(super) fn enter(name: &'static str) -> OpenSpan {
-        let offset = epoch_offset_nanos();
         let node = STATE.with(|s| {
             let mut s = s.borrow_mut();
             let parent = *s.stack.last().expect("span stack has a root");
             let node = s.tree.child_named(parent, name);
             s.stack.push(node);
-            let start = &mut s.tree.starts[node];
-            *start = (*start).min(offset);
             node
         });
         OpenSpan {
@@ -923,8 +907,11 @@ mod imp {
     }
 
     pub(super) fn reset() {
-        *lock_global() = Report::default();
+        // Replacing the thread's state drops the old one, and its
+        // destructor folds it into the global aggregate: clear the
+        // aggregate only after that.
         STATE.with(|s| *s.borrow_mut() = ThreadState::new());
+        *lock_global() = Report::default();
     }
 
     /// Moves the calling thread's counters, gauges, histograms, and
@@ -1019,6 +1006,20 @@ mod tests {
     }
 
     #[test]
+    fn reset_discards_the_calling_threads_registries() {
+        let _l = locked();
+        reset();
+        {
+            let _s = Span::enter("discarded");
+            counter!("discarded_ticks", 5);
+        }
+        reset();
+        let r = report();
+        assert_eq!(r.counter("discarded_ticks"), 0);
+        assert!(r.spans.is_empty(), "{:?}", r.spans);
+    }
+
+    #[test]
     fn gauges_keep_thread_maximum() {
         let _l = locked();
         reset();
@@ -1026,35 +1027,6 @@ mod tests {
         gauge!("size", 9);
         std::thread::spawn(|| gauge!("size", 6)).join().unwrap();
         assert_eq!(report().gauge("size"), 9);
-        reset();
-    }
-
-    #[test]
-    fn start_offsets_order_siblings_on_one_timeline() {
-        let _l = locked();
-        reset();
-        {
-            let _outer = Span::enter("timeline_outer");
-            {
-                let _a = Span::enter("timeline_a");
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            let _b = Span::enter("timeline_b");
-        }
-        let r = report();
-        let outer = r
-            .spans
-            .iter()
-            .find(|s| s.name == "timeline_outer")
-            .expect("outer span recorded");
-        let a = &outer.children[0];
-        let b = &outer.children[1];
-        assert_eq!((a.name.as_str(), b.name.as_str()), ("timeline_a", "timeline_b"));
-        assert!(outer.start_nanos <= a.start_nanos);
-        assert!(
-            a.start_nanos < b.start_nanos,
-            "b entered after a slept, so its offset must be later"
-        );
         reset();
     }
 

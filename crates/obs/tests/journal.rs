@@ -60,14 +60,6 @@ fn event_strategy() -> impl Strategy<Value = Event> {
                 compute_nanos,
             }
         ),
-        (s(), s(), 0u64..100, proptest::sample::select(vec![true, false])).prop_map(
-            |(baseline, candidate, findings, passed)| Event::BenchVerdict {
-                baseline,
-                candidate,
-                findings,
-                passed,
-            }
-        ),
     ]
 }
 

@@ -10,8 +10,7 @@
 //! a trusted process, and a collision only costs a wrong cache hit for
 //! an adversarially crafted input pair.
 
-/// The SplitMix64 finalizer (same constants as `pst_obs::journal` and
-/// `pst_perf::stats`).
+/// The SplitMix64 finalizer (same constants as `pst_obs::journal`).
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

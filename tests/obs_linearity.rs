@@ -10,15 +10,31 @@
 //! The obs registry is process-global, so every test in this binary
 //! serializes on one lock and resets the registry before measuring.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use pst_core::canonical_regions;
 use pst_workloads::{nested_while_loops, random_cfg};
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
-fn locked() -> std::sync::MutexGuard<'static, ()> {
-    OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+/// Holds `OBS_LOCK` for one test. A test thread folds its thread-local
+/// registries into the global aggregate when it exits, which can be
+/// after the next test has reset and started measuring; dropping this
+/// guard clears them while the lock is still held.
+struct ObsLock {
+    _held: MutexGuard<'static, ()>,
+}
+
+impl Drop for ObsLock {
+    fn drop(&mut self) {
+        pst_obs::reset();
+    }
+}
+
+fn locked() -> ObsLock {
+    ObsLock {
+        _held: OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner()),
+    }
 }
 
 /// Counters recorded by one `canonical_regions` run over `cfg`.
