@@ -427,7 +427,7 @@ pub fn canonicalize(
     //    exit at all. One virtual edge per offending terminal SCC therefore
     //    connects every infinite loop — and, when the exit was synthesized
     //    in step 4, makes the fresh exit reachable — in a single pass.
-    let reaches_exit = g.reversed().reachable_from(exit);
+    let reaches_exit = g.reaching(exit);
     if reaches_exit.iter().any(|&r| !r) {
         let sccs = Sccs::new(&g);
         let mut external_succ = vec![false; sccs.count()];

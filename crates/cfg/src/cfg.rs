@@ -109,7 +109,7 @@ impl Cfg {
         if let Some(n) = graph.nodes().find(|n| !forward[n.index()]) {
             return Err(ValidateCfgError::UnreachableFromEntry(n));
         }
-        let backward = graph.reversed().reachable_from(exit);
+        let backward = graph.reaching(exit);
         if let Some(n) = graph.nodes().find(|n| !backward[n.index()]) {
             return Err(ValidateCfgError::CannotReachExit(n));
         }

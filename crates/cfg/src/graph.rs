@@ -219,6 +219,25 @@ impl Graph {
         self.reachable_from_avoiding(start, None)
     }
 
+    /// The set of nodes from which `target` is reachable following directed
+    /// edges: a backward search over in-edges, so no reversed copy of the
+    /// graph is built.
+    pub fn reaching(&self, target: NodeId) -> Vec<bool> {
+        let mut seen = vec![false; self.node_count()];
+        let mut stack = vec![target];
+        seen[target.index()] = true;
+        while let Some(n) = stack.pop() {
+            for &e in self.in_edges(n) {
+                let s = self.source(e);
+                if !seen[s.index()] {
+                    seen[s.index()] = true;
+                    stack.push(s);
+                }
+            }
+        }
+        seen
+    }
+
     /// Reachability from `start`, optionally refusing to traverse `avoid`.
     ///
     /// This is the primitive behind the slow cycle-equivalence oracle: a
@@ -333,6 +352,16 @@ mod tests {
         let (g, n, _) = diamond();
         let seen = g.reachable_from(n[1]);
         assert_eq!(seen, vec![false, true, false, true]);
+    }
+
+    #[test]
+    fn reaching_matches_reversed_reachability() {
+        let (g, n, _) = diamond();
+        for &node in &n {
+            assert_eq!(g.reaching(node), g.reversed().reachable_from(node));
+        }
+        assert_eq!(g.reaching(n[3]), vec![true, true, true, true]);
+        assert_eq!(g.reaching(n[1]), vec![true, true, false, false]);
     }
 
     #[test]

@@ -57,17 +57,11 @@ impl ObsOptions {
         };
         let event_type = take_value_flag(args, "--type")?;
         if let Some(t) = &event_type {
-            const TYPES: [&str; 5] = [
-                "run_start",
-                "run_end",
-                "unit_summary",
-                "lint_finding",
-                "fuzz_crash",
-            ];
-            if !TYPES.contains(&t.as_str()) {
+            let types = pst_obs::journal::Event::TYPES;
+            if !types.contains(&t.as_str()) {
                 return Err(format!(
                     "`--type` expects one of {}, got `{t}`",
-                    TYPES.join("|")
+                    types.join("|")
                 ));
             }
         }

@@ -435,6 +435,79 @@ fn obs_merges_two_journals_and_agrees_with_metrics() {
     assert!(ranked.windows(2).all(|w| w[0].1 >= w[1].1), "{ranked:?}");
 }
 
+#[test]
+fn obs_filters_a_journal_by_slow_request_type() {
+    use pst_obs::journal::{Event, Level, Record};
+    let dir = work_dir("obs_slow_request");
+    let line = |seq: u64, level: Level, event: Event| {
+        let trace = "00000000000000aa".to_string();
+        let record = Record {
+            seq,
+            trace,
+            level,
+            event,
+        };
+        record.to_json().to_string()
+    };
+    let slow = |seq, method: &str| {
+        let event = Event::SlowRequest {
+            method: method.to_string(),
+            unit: Some("u".to_string()),
+            total_nanos: 9_000_000,
+            compute_nanos: 8_000_000,
+        };
+        line(seq, Level::Warn, event)
+    };
+    let start = Event::RunStart {
+        command: "serve".into(),
+        args: vec![],
+    };
+    let end = Event::RunEnd {
+        command: "serve".into(),
+        exit_code: 0,
+        nanos: 1,
+    };
+    let journal = [
+        line(0, Level::Info, start),
+        slow(1, "pst"),
+        slow(2, "controldep"),
+        line(3, Level::Info, end),
+    ]
+    .join("\n");
+    std::fs::write(dir.join("j.jsonl"), journal + "\n").expect("write journal");
+
+    let (out, err, code) = run_in(
+        &dir,
+        &[
+            "obs",
+            "j.jsonl",
+            "--type",
+            "slow_request",
+            "--format",
+            "json",
+        ],
+    );
+    assert_eq!(code, 0, "{err}");
+    let fleet = pst_obs::json::Json::parse(out.trim()).expect("obs json parses");
+    let pst_obs::json::Json::Arr(events) = fleet.get("events").expect("events") else {
+        panic!("events is an array");
+    };
+    let methods: Vec<_> = events
+        .iter()
+        .map(|e| Record::from_json(e).expect("event parses").event)
+        .map(|event| match event {
+            Event::SlowRequest { method, .. } => method,
+            other => panic!("filter let through {other:?}"),
+        })
+        .collect();
+    assert_eq!(methods, ["pst", "controldep"]);
+
+    // An unknown type is still a usage error that lists every type.
+    let (_, err, code) = run_in(&dir, &["obs", "j.jsonl", "--type", "slow"]);
+    assert_eq!(code, 2);
+    assert!(err.contains("slow_request"), "{err}");
+}
+
 /// A contained fuzz crash must leave a `fuzz_crash` journal event whose
 /// reproducer path points at the minimized edge list. Clean builds never
 /// crash, so this runs only with `--features fault-inject`.

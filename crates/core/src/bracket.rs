@@ -4,46 +4,69 @@
 //! *brackets* — backedges that span the tree edge into that node — with the
 //! operations `create`, `size`, `push`, `top`, `delete`, `concat`, all in
 //! constant time. Following the paper, the concrete representation is a
-//! doubly-linked list (here arena-backed, with indices instead of pointers)
-//! plus an explicit size; every bracket records the list cell it occupies so
-//! deletion from the middle is O(1).
+//! doubly-linked list (here arena-backed, with `u32` indices instead of
+//! pointers and [`NONE`] for a missing link) plus an explicit size; a
+//! bracket's cell holds its own links, so deletion from the middle is O(1).
 //!
-//! Brackets also carry the bookkeeping fields of the paper's Figure 4:
-//! `recentSize` and `recentClass` (the compact `<top bracket, set size>`
-//! naming device) and `class` (for the backedge itself).
+//! Cells also carry the bookkeeping fields of the paper's Figure 4:
+//! `recentSize` and `recentClass`, the compact `<top bracket, set size>`
+//! naming device. A backedge's own `class` lives with the caller, which
+//! indexes brackets by edge id (see [`CycleEquiv`](crate::CycleEquiv)), and
+//! one spare link per cell chains capping brackets by destination.
 
-use pst_cfg::EdgeId;
+/// The missing link, size or class of every `u32` field in this module.
+pub const NONE: u32 = u32::MAX;
 
 /// Index of a bracket in a [`BracketArena`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct BracketId(u32);
 
 impl BracketId {
-    fn index(self) -> usize {
+    /// The bracket with index `index`.
+    pub fn new(index: u32) -> Self {
+        BracketId(index)
+    }
+
+    /// The dense index of this bracket.
+    pub fn index(self) -> u32 {
+        self.0
+    }
+
+    fn at(self) -> usize {
         self.0 as usize
+    }
+
+    /// `Some(b)` unless `raw` is [`NONE`].
+    fn from_raw(raw: u32) -> Option<Self> {
+        (raw != NONE).then_some(BracketId(raw))
     }
 }
 
-/// Sentinel-free linked-list cell plus the algorithm's per-bracket fields.
-#[derive(Clone, Debug)]
+/// One list cell plus the algorithm's per-bracket fields; every field is
+/// [`NONE`] until set.
+#[derive(Clone, Copy, Debug)]
 struct BracketCell {
-    prev: Option<BracketId>,
-    next: Option<BracketId>,
-    /// Real backedge this bracket stands for; `None` for capping backedges.
-    edge: Option<EdgeId>,
+    prev: u32,
+    next: u32,
     /// `e.recentSize` of Figure 4.
-    recent_size: usize,
-    /// `e.recentClass` of Figure 4 (`u32::MAX` = undefined).
+    recent_size: u32,
+    /// `e.recentClass` of Figure 4.
     recent_class: u32,
-    /// `e.class` of Figure 4 (`u32::MAX` = undefined).
-    class: u32,
+    /// Caller-owned singly linked successor (capping brackets with the
+    /// same destination, in [`CycleEquiv`](crate::CycleEquiv)).
+    chain: u32,
 }
 
-/// Sentinel for "no class assigned yet".
-pub(crate) const UNDEFINED_CLASS: u32 = u32::MAX;
+const FRESH: BracketCell = BracketCell {
+    prev: NONE,
+    next: NONE,
+    recent_size: NONE,
+    recent_class: NONE,
+    chain: NONE,
+};
 
-/// Arena owning every bracket cell created during one run of the
-/// cycle-equivalence algorithm.
+/// Arena owning every bracket cell of one run of the cycle-equivalence
+/// algorithm.
 ///
 /// Lists ([`BracketList`]) are lightweight handles (head, tail, size) into
 /// this arena. All list operations take the arena explicitly, which keeps
@@ -52,11 +75,10 @@ pub(crate) const UNDEFINED_CLASS: u32 = u32::MAX;
 /// # Examples
 ///
 /// ```
-/// use pst_core::bracket::{BracketArena, BracketList};
-/// let mut arena = BracketArena::new();
+/// use pst_core::bracket::{BracketArena, BracketId, BracketList};
+/// let mut arena = BracketArena::with_brackets(2);
 /// let mut list = BracketList::new();
-/// let a = arena.new_bracket(None);
-/// let b = arena.new_bracket(None);
+/// let (a, b) = (BracketId::new(0), BracketId::new(1));
 /// arena.push(&mut list, a);
 /// arena.push(&mut list, b);
 /// assert_eq!(list.size(), 2);
@@ -65,80 +87,64 @@ pub(crate) const UNDEFINED_CLASS: u32 = u32::MAX;
 /// assert_eq!(list.size(), 1);
 /// assert_eq!(arena.top(&list), Some(b));
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct BracketArena {
     cells: Vec<BracketCell>,
 }
 
 /// A handle to one bracket list: head (top), tail (bottom) and size.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub struct BracketList {
-    head: Option<BracketId>,
-    tail: Option<BracketId>,
-    size: usize,
+    head: u32,
+    tail: u32,
+    size: u32,
+}
+
+impl Default for BracketList {
+    fn default() -> Self {
+        BracketList::new()
+    }
 }
 
 impl BracketArena {
-    /// Creates an empty arena.
-    pub fn new() -> Self {
-        BracketArena::default()
-    }
-
-    /// Creates an empty arena sized for `n` brackets.
-    pub fn with_capacity(n: usize) -> Self {
+    /// Creates an arena of `count` fresh, unlinked brackets with ids
+    /// `0..count`.
+    pub fn with_brackets(count: usize) -> Self {
         BracketArena {
-            cells: Vec::with_capacity(n),
+            cells: vec![FRESH; count],
         }
     }
 
-    /// Allocates a fresh bracket. `edge` is the CFG edge it represents, or
-    /// `None` for a capping backedge.
-    pub fn new_bracket(&mut self, edge: Option<EdgeId>) -> BracketId {
-        let id = BracketId(u32::try_from(self.cells.len()).expect("too many brackets"));
-        self.cells.push(BracketCell {
-            prev: None,
-            next: None,
-            edge,
-            recent_size: usize::MAX,
-            recent_class: UNDEFINED_CLASS,
-            class: UNDEFINED_CLASS,
-        });
-        id
+    /// `recentSize` bookkeeping field ([`NONE`] = undefined).
+    #[inline]
+    pub fn recent_size(&self, b: BracketId) -> u32 {
+        self.cells[b.at()].recent_size
     }
 
-    /// The CFG edge a bracket represents (`None` for capping brackets).
-    pub fn edge_of(&self, b: BracketId) -> Option<EdgeId> {
-        self.cells[b.index()].edge
-    }
-
-    /// `recentSize` bookkeeping field.
-    pub fn recent_size(&self, b: BracketId) -> usize {
-        self.cells[b.index()].recent_size
-    }
-
-    /// Updates `recentSize`.
-    pub fn set_recent_size(&mut self, b: BracketId, size: usize) {
-        self.cells[b.index()].recent_size = size;
-    }
-
-    /// `recentClass` bookkeeping field (`u32::MAX` = undefined).
+    /// `recentClass` bookkeeping field ([`NONE`] = undefined).
+    #[inline]
     pub fn recent_class(&self, b: BracketId) -> u32 {
-        self.cells[b.index()].recent_class
+        self.cells[b.at()].recent_class
     }
 
-    /// Updates `recentClass`.
-    pub fn set_recent_class(&mut self, b: BracketId, class: u32) {
-        self.cells[b.index()].recent_class = class;
+    /// Sets both `recentSize` and `recentClass`.
+    #[inline]
+    pub fn set_recent(&mut self, b: BracketId, size: u32, class: u32) {
+        let c = &mut self.cells[b.at()];
+        c.recent_size = size;
+        c.recent_class = class;
     }
 
-    /// The backedge's own equivalence class (`u32::MAX` = undefined).
-    pub fn class(&self, b: BracketId) -> u32 {
-        self.cells[b.index()].class
+    /// The caller-owned chain link of `b` ([`NONE`] = end of chain).
+    #[inline]
+    pub fn chain(&self, b: BracketId) -> u32 {
+        self.cells[b.at()].chain
     }
 
-    /// Sets the backedge's own equivalence class.
-    pub fn set_class(&mut self, b: BracketId, class: u32) {
-        self.cells[b.index()].class = class;
+    /// Sets the caller-owned chain link of `b`.
+    #[inline]
+    pub fn set_chain(&mut self, b: BracketId, next: u32) {
+        self.cells[b.at()].chain = next;
     }
 
     /// Pushes `b` on top of `list`. O(1).
@@ -146,26 +152,26 @@ impl BracketArena {
     /// # Panics
     ///
     /// Panics (debug builds) if `b` is already linked into some list.
+    #[inline]
     pub fn push(&mut self, list: &mut BracketList, b: BracketId) {
         debug_assert!(
-            self.cells[b.index()].prev.is_none() && self.cells[b.index()].next.is_none(),
+            self.cells[b.at()].prev == NONE && self.cells[b.at()].next == NONE,
             "bracket already linked"
         );
-        match list.head {
-            Some(old) => {
-                self.cells[b.index()].next = Some(old);
-                self.cells[old.index()].prev = Some(b);
-            }
-            None => list.tail = Some(b),
+        if list.head == NONE {
+            list.tail = b.0;
+        } else {
+            self.cells[b.at()].next = list.head;
+            self.cells[list.head as usize].prev = b.0;
         }
-        list.head = Some(b);
+        list.head = b.0;
         list.size += 1;
-        pst_obs::counter!("brackets_pushed");
     }
 
     /// The topmost bracket of `list`, if any. O(1).
+    #[inline]
     pub fn top(&self, list: &BracketList) -> Option<BracketId> {
-        list.head
+        BracketId::from_raw(list.head)
     }
 
     /// Deletes `b` from anywhere inside `list`. O(1).
@@ -173,52 +179,52 @@ impl BracketArena {
     /// The caller must ensure `b` is currently an element of `list` (the
     /// algorithm guarantees this: a backedge is deleted exactly once, at its
     /// upper endpoint, from the one list that has absorbed it).
+    #[inline]
     pub fn delete(&mut self, list: &mut BracketList, b: BracketId) {
-        let (prev, next) = {
-            let c = &self.cells[b.index()];
-            (c.prev, c.next)
-        };
-        match prev {
-            Some(p) => self.cells[p.index()].next = next,
-            None => list.head = next,
+        let BracketCell { prev, next, .. } = self.cells[b.at()];
+        if prev == NONE {
+            list.head = next;
+        } else {
+            self.cells[prev as usize].next = next;
         }
-        match next {
-            Some(n) => self.cells[n.index()].prev = prev,
-            None => list.tail = prev,
+        if next == NONE {
+            list.tail = prev;
+        } else {
+            self.cells[next as usize].prev = prev;
         }
-        let c = &mut self.cells[b.index()];
-        c.prev = None;
-        c.next = None;
+        let c = &mut self.cells[b.at()];
+        c.prev = NONE;
+        c.next = NONE;
         debug_assert!(list.size > 0, "delete from empty bracket list");
         list.size -= 1;
-        pst_obs::counter!("brackets_popped");
     }
 
     /// Concatenates two lists in O(1): `upper` ends up on top of `lower`.
     /// Both inputs are consumed.
+    #[inline]
     pub fn concat(&mut self, upper: BracketList, lower: BracketList) -> BracketList {
-        match (upper.tail, lower.head) {
-            (Some(ut), Some(lh)) => {
-                self.cells[ut.index()].next = Some(lh);
-                self.cells[lh.index()].prev = Some(ut);
-                BracketList {
-                    head: upper.head,
-                    tail: lower.tail,
-                    size: upper.size + lower.size,
-                }
-            }
-            (None, _) => lower,
-            (_, None) => upper,
+        if upper.head == NONE {
+            return lower;
+        }
+        if lower.head == NONE {
+            return upper;
+        }
+        self.cells[upper.tail as usize].next = lower.head;
+        self.cells[lower.head as usize].prev = upper.tail;
+        BracketList {
+            head: upper.head,
+            tail: lower.tail,
+            size: upper.size + lower.size,
         }
     }
 
     /// The elements of `list` from top to bottom (O(n); test helper).
     pub fn elements(&self, list: &BracketList) -> Vec<BracketId> {
-        let mut out = Vec::with_capacity(list.size);
+        let mut out = Vec::with_capacity(list.size as usize);
         let mut cur = list.head;
-        while let Some(b) = cur {
+        while let Some(b) = BracketId::from_raw(cur) {
             out.push(b);
-            cur = self.cells[b.index()].next;
+            cur = self.cells[b.at()].next;
         }
         out
     }
@@ -226,12 +232,17 @@ impl BracketArena {
 
 impl BracketList {
     /// Creates an empty list (`create()` of the paper).
-    pub fn new() -> Self {
-        BracketList::default()
+    pub const fn new() -> Self {
+        BracketList {
+            head: NONE,
+            tail: NONE,
+            size: 0,
+        }
     }
 
     /// Number of brackets in the list (`size()` of the paper). O(1).
-    pub fn size(&self) -> usize {
+    #[inline]
+    pub fn size(&self) -> u32 {
         self.size
     }
 
@@ -245,17 +256,17 @@ impl BracketList {
 mod tests {
     use super::*;
 
-    fn fresh(arena: &mut BracketArena, n: usize) -> Vec<BracketId> {
-        (0..n).map(|_| arena.new_bracket(None)).collect()
+    fn fresh(n: usize) -> (BracketArena, Vec<BracketId>) {
+        let a = BracketArena::with_brackets(n);
+        (a, (0..n as u32).map(BracketId::new).collect())
     }
 
     #[test]
     fn push_top_size() {
-        let mut a = BracketArena::new();
+        let (mut a, bs) = fresh(3);
         let mut l = BracketList::new();
         assert!(l.is_empty());
         assert_eq!(a.top(&l), None);
-        let bs = fresh(&mut a, 3);
         for &b in &bs {
             a.push(&mut l, b);
         }
@@ -266,9 +277,8 @@ mod tests {
 
     #[test]
     fn delete_from_middle() {
-        let mut a = BracketArena::new();
+        let (mut a, bs) = fresh(3);
         let mut l = BracketList::new();
-        let bs = fresh(&mut a, 3);
         for &b in &bs {
             a.push(&mut l, b);
         }
@@ -279,9 +289,8 @@ mod tests {
 
     #[test]
     fn delete_top_and_bottom() {
-        let mut a = BracketArena::new();
+        let (mut a, bs) = fresh(3);
         let mut l = BracketList::new();
-        let bs = fresh(&mut a, 3);
         for &b in &bs {
             a.push(&mut l, b);
         }
@@ -296,10 +305,9 @@ mod tests {
 
     #[test]
     fn concat_order_and_size() {
-        let mut a = BracketArena::new();
+        let (mut a, bs) = fresh(4);
         let mut upper = BracketList::new();
         let mut lower = BracketList::new();
-        let bs = fresh(&mut a, 4);
         a.push(&mut lower, bs[0]);
         a.push(&mut lower, bs[1]);
         a.push(&mut upper, bs[2]);
@@ -311,9 +319,9 @@ mod tests {
 
     #[test]
     fn concat_with_empty() {
-        let mut a = BracketArena::new();
+        let (mut a, bs) = fresh(1);
         let mut only = BracketList::new();
-        let b = a.new_bracket(None);
+        let b = bs[0];
         a.push(&mut only, b);
         let l = a.concat(BracketList::new(), only);
         assert_eq!(l.size(), 1);
@@ -324,10 +332,9 @@ mod tests {
 
     #[test]
     fn delete_after_concat() {
-        let mut a = BracketArena::new();
+        let (mut a, bs) = fresh(4);
         let mut upper = BracketList::new();
         let mut lower = BracketList::new();
-        let bs = fresh(&mut a, 4);
         a.push(&mut lower, bs[0]);
         a.push(&mut lower, bs[1]);
         a.push(&mut upper, bs[2]);
@@ -344,28 +351,31 @@ mod tests {
     fn reuse_after_delete() {
         // A bracket deleted from one list can be pushed onto another — the
         // algorithm never does this, but the cell state must stay clean.
-        let mut a = BracketArena::new();
+        let (mut a, bs) = fresh(1);
         let mut l1 = BracketList::new();
         let mut l2 = BracketList::new();
-        let b = a.new_bracket(None);
-        a.push(&mut l1, b);
-        a.delete(&mut l1, b);
-        a.push(&mut l2, b);
-        assert_eq!(a.elements(&l2), vec![b]);
+        a.push(&mut l1, bs[0]);
+        a.delete(&mut l1, bs[0]);
+        a.push(&mut l2, bs[0]);
+        assert_eq!(a.elements(&l2), vec![bs[0]]);
     }
 
     #[test]
     fn bookkeeping_fields_roundtrip() {
-        let mut a = BracketArena::new();
-        let e = EdgeId::from_index(9);
-        let b = a.new_bracket(Some(e));
-        assert_eq!(a.edge_of(b), Some(e));
-        assert_eq!(a.class(b), UNDEFINED_CLASS);
-        a.set_class(b, 4);
-        a.set_recent_size(b, 2);
-        a.set_recent_class(b, 7);
-        assert_eq!(a.class(b), 4);
+        let (mut a, bs) = fresh(2);
+        let b = bs[1];
+        assert_eq!(a.recent_size(b), NONE);
+        assert_eq!(a.recent_class(b), NONE);
+        assert_eq!(a.chain(b), NONE);
+        a.set_recent(b, 2, 7);
+        a.set_chain(b, 0);
         assert_eq!(a.recent_size(b), 2);
         assert_eq!(a.recent_class(b), 7);
+        assert_eq!(a.chain(b), 0);
+        // Links and bookkeeping are independent.
+        let mut l = BracketList::new();
+        a.push(&mut l, b);
+        assert_eq!(a.chain(b), 0);
+        assert_eq!(a.recent_size(bs[0]), NONE);
     }
 }

@@ -8,16 +8,19 @@
 //! `nᵢ → nₒ` joined by its representative edge, and every original edge
 //! `n → m` becomes `nₒ → mᵢ`.
 //!
-//! The expansion is explicit here (the paper notes an implicit variant as a
-//! constant-factor optimization); it doubles the node count and adds `N`
-//! edges, preserving the `O(E)` bound. Previous algorithms for this problem
-//! were `O(EN)` (Cytron–Ferrante–Sarkar) or restricted to reducible graphs
-//! (Ball) — both are implemented in `pst-controldep` as baselines, and the
-//! three are cross-validated in the integration tests.
+//! The expansion is implicit here: the cycle-equivalence engine takes an
+//! endpoint function, so `T(S)` is described by index arithmetic and never
+//! built (the paper notes this as a constant-factor optimization). `T(S)`
+//! has `2N` nodes and `N + E + 1` edges, preserving the `O(E)` bound. The
+//! explicit transform survives as a test oracle in
+//! `crates/core/tests/implicit_expansion.rs`. Previous algorithms for this
+//! problem were `O(EN)` (Cytron–Ferrante–Sarkar) or restricted to reducible
+//! graphs (Ball) — both are implemented in `pst-controldep` as baselines,
+//! and the three are cross-validated in the integration tests.
 
-use pst_cfg::{Cfg, EdgeId, Graph, NodeId};
+use pst_cfg::{Cfg, EdgeId, NodeId};
 
-use crate::CycleEquiv;
+use crate::cycle_equiv::{raw_classes, renumber};
 
 /// Partition of a CFG's nodes into control regions (control-dependence
 /// equivalence classes).
@@ -50,41 +53,39 @@ impl ControlRegions {
     /// cycle equivalence.
     pub fn compute(cfg: &Cfg) -> Self {
         let _span = pst_obs::Span::enter("control_regions");
-        let (s, _back) = cfg.to_strongly_connected();
-        let (t, representative) = node_expand(&s);
-        // T is the node expansion of the strongly connected closure of a
-        // valid CFG, so it is connected by construction.
-        let ce = CycleEquiv::compute_unchecked(&t, input_half(cfg.entry()));
-        let raw: Vec<u32> = cfg
-            .graph()
-            .nodes()
-            .map(|n| ce.class(representative[n.index()]))
-            .collect();
-        Self::renumber(raw)
-    }
-
-    fn renumber(raw: Vec<u32>) -> Self {
-        let mut map = std::collections::HashMap::new();
-        let mut class_of = Vec::with_capacity(raw.len());
-        let mut next = 0u32;
-        for label in raw {
-            let dense = *map.entry(label).or_insert_with(|| {
-                let c = next;
-                next += 1;
-                c
-            });
-            class_of.push(dense);
-        }
-        ControlRegions {
-            class_of,
-            num_classes: next,
-        }
+        let g = cfg.graph();
+        let (n, m) = (g.node_count(), g.edge_count());
+        let (entry, exit) = (cfg.entry().index(), cfg.exit().index());
+        // T(S) by index arithmetic: node v of S becomes vᵢ = 2v and
+        // vₒ = 2v + 1. Edge v < n is v's representative edge vᵢ → vₒ; edge
+        // n + e is G's edge u → v as uₒ → vᵢ; edge n + m is S's virtual
+        // edge exitₒ → entryᵢ. T(S) of a valid CFG is strongly connected.
+        let mut raw = raw_classes(2 * n, n + m + 1, 2 * entry, |e| {
+            if e < n {
+                (2 * e, 2 * e + 1)
+            } else if e < n + m {
+                let (u, v) = g.endpoints(EdgeId::from_index(e - n));
+                (2 * u.index() + 1, 2 * v.index())
+            } else {
+                (2 * exit + 1, 2 * entry)
+            }
+        })
+        .expect("T(S) of a valid CFG is connected");
+        // The representative edges' classes are the nodes' classes.
+        raw.truncate(n);
+        raw.shrink_to_fit();
+        Self::from_classes(raw)
     }
 
     /// Builds directly from raw per-node labels (used by the baseline
     /// algorithms in `pst-controldep` so results compare with `==`).
-    pub fn from_classes(raw: Vec<u32>) -> Self {
-        Self::renumber(raw)
+    /// Labels are renumbered densely in node-id order.
+    pub fn from_classes(mut raw: Vec<u32>) -> Self {
+        let num_classes = renumber(&mut raw);
+        ControlRegions {
+            class_of: raw,
+            num_classes,
+        }
     }
 
     /// Control-region class of `node`.
@@ -115,37 +116,6 @@ impl ControlRegions {
         }
         out
     }
-}
-
-/// The input half `nᵢ` of node `n` in the expanded graph.
-fn input_half(n: NodeId) -> NodeId {
-    NodeId::from_index(2 * n.index())
-}
-
-/// The node-expanding transformation `T` of Definition 9.
-///
-/// Returns the expanded graph and, per original node, the id of its
-/// representative edge. Expanded node `2n` is `nᵢ`, `2n + 1` is `nₒ`;
-/// representative edges are created first so their ids equal the original
-/// node ids.
-pub fn node_expand(graph: &Graph) -> (Graph, Vec<EdgeId>) {
-    let n = graph.node_count();
-    let mut t = Graph::with_capacity(2 * n, n + graph.edge_count());
-    t.add_nodes(2 * n);
-    let mut representative = Vec::with_capacity(n);
-    for node in graph.nodes() {
-        let ni = NodeId::from_index(2 * node.index());
-        let no = NodeId::from_index(2 * node.index() + 1);
-        representative.push(t.add_edge(ni, no));
-    }
-    for e in graph.edges() {
-        let (u, v) = graph.endpoints(e);
-        t.add_edge(
-            NodeId::from_index(2 * u.index() + 1),
-            NodeId::from_index(2 * v.index()),
-        );
-    }
-    (t, representative)
 }
 
 #[cfg(test)]
@@ -221,19 +191,6 @@ mod tests {
         // No restriction to reducible graphs (unlike Ball's algorithm).
         assert!(cr.same_region(n(0), n(3)));
         assert!(!cr.same_region(n(1), n(2)));
-    }
-
-    #[test]
-    fn node_expand_shape() {
-        let cfg = parse_edge_list("0->1 1->2").unwrap();
-        let (t, rep) = node_expand(cfg.graph());
-        assert_eq!(t.node_count(), 6);
-        assert_eq!(t.edge_count(), 3 + 2);
-        for node in cfg.graph().nodes() {
-            let e = rep[node.index()];
-            assert_eq!(t.source(e).index(), 2 * node.index());
-            assert_eq!(t.target(e).index(), 2 * node.index() + 1);
-        }
     }
 
     #[test]

@@ -12,13 +12,43 @@
 //! [`CycleEquiv::compute`] implements the linear-time algorithm;
 //! [`cycle_equiv_slow_directed`] and [`cycle_equiv_slow_undirected`] are the
 //! quadratic reachability-based oracles used to validate it.
+//!
+//! # Flat layout
+//!
+//! The fast path never builds a [`Graph`]. Its input is a node count, an
+//! edge count and an *endpoint function* `e ↦ (u, v)`, so callers can hand
+//! it `S = G + (exit→entry)` or the node expansion `T(S)` without
+//! materializing either (see [`canonical_regions`](crate::canonical_regions)
+//! and [`ControlRegions`](crate::ControlRegions)). Every array is `u32`,
+//! with [`NONE`] as the missing value:
+//!
+//! * **Incidence CSR.** One counting pass over the endpoint function sizes
+//!   each node's slice of `(edge, other endpoint)` pairs; a second pass
+//!   fills them. Self-loops stay out, and get their singleton classes last.
+//! * **DFS.** An iterative search over the CSR records only each node's
+//!   `dfsnum`, and, per dfsnum, the node and the tree edge into it.
+//! * **Sweep.** Nodes are visited in reverse preorder. A node's children
+//!   and backedges are found by scanning its incidence slice: a neighbour
+//!   whose tree edge is this edge is a child; any other neighbour is an
+//!   ancestor (backedge up) or a descendant (backedge down), as the
+//!   `dfsnum` comparison says. Per-dfsnum slots hold `hi`, the bracket
+//!   list and the head of the capping chain; no per-node `Vec` exists.
+//! * **Brackets.** A backedge's bracket id is its edge id, and its class is
+//!   written straight into the result. A capping backedge created at node
+//!   `v` borrows the id of `v`'s tree edge, whose arena cell no backedge
+//!   uses; capping brackets with one destination are chained through the
+//!   cells' spare link. The arena is therefore exactly one cell per edge.
+//!
+//! Operation counts (`brackets_pushed` and friends) are kept in locals and
+//! flushed to `pst-obs` once per call.
 
 use std::error::Error;
 use std::fmt;
 
-use pst_cfg::{EdgeId, Graph, NodeId, UndirectedDfs, UndirectedEdgeKind};
+use pst_cfg::{EdgeId, Graph, NodeId};
 
-use crate::bracket::{BracketArena, BracketId, BracketList, UNDEFINED_CLASS};
+use crate::bracket::{BracketArena, BracketId, BracketList, NONE};
+use crate::group::group_rows;
 
 /// Why cycle equivalence could not be computed for an input graph.
 ///
@@ -111,196 +141,40 @@ impl CycleEquiv {
         if root.index() >= graph.node_count() {
             return Err(CycleEquivError::UnknownRoot(root));
         }
-        let _span = pst_obs::Span::enter("cycle_equiv");
-        let dfs = UndirectedDfs::new(graph, root);
-        if let Some(unreached) = dfs.first_unreached() {
-            return Err(CycleEquivError::Disconnected { root, unreached });
-        }
-        Ok(Self::compute_with_dfs(graph, &dfs))
+        let raw =
+            graph_classes(graph, root).map_err(|unreached| CycleEquivError::Disconnected {
+                root,
+                unreached: NodeId::from_index(unreached),
+            })?;
+        Ok(Self::from_classes(raw))
     }
 
-    /// [`CycleEquiv::compute`] without the connectivity check — the
-    /// internal hot path for graphs already known to be connected.
+    /// [`CycleEquiv::compute`] for graphs the caller already knows to be
+    /// connected, returning the classes without a `Result`.
     ///
-    /// On a disconnected graph the result is meaningless for edges of the
-    /// unreached components (debug builds assert connectivity); use
-    /// [`CycleEquiv::compute`] whenever the input is not under the
-    /// caller's control.
+    /// # Panics
+    ///
+    /// Panics if `root` is not a node of `graph` or the graph is not
+    /// undirected-connected; use [`CycleEquiv::compute`] whenever the input
+    /// is not under the caller's control.
     pub fn compute_unchecked(graph: &Graph, root: NodeId) -> Self {
-        let _span = pst_obs::Span::enter("cycle_equiv");
-        let dfs = UndirectedDfs::new(graph, root);
-        debug_assert!(
-            dfs.is_connected(),
-            "cycle equivalence requires an undirected-connected graph"
+        assert!(
+            root.index() < graph.node_count(),
+            "root {root} is not a node"
         );
-        Self::compute_with_dfs(graph, &dfs)
-    }
-
-    /// Shared body of [`CycleEquiv::compute`] /
-    /// [`CycleEquiv::compute_unchecked`]: the paper's Figure 4 over an
-    /// already-run (and connected) undirected DFS.
-    fn compute_with_dfs(graph: &Graph, dfs: &UndirectedDfs) -> Self {
-        pst_obs::gauge!("cycle_equiv_nodes", graph.node_count());
-        pst_obs::gauge!("cycle_equiv_edges", graph.edge_count());
-        let n = graph.node_count();
-        const INF: usize = usize::MAX;
-
-        let mut arena = BracketArena::with_capacity(graph.edge_count());
-        // Bracket allocated for each real backedge, indexed by edge.
-        let mut bracket_of_edge: Vec<Option<BracketId>> = vec![None; graph.edge_count()];
-        for e in graph.edges() {
-            if dfs.edge_kind(e) == UndirectedEdgeKind::Back {
-                bracket_of_edge[e.index()] = Some(arena.new_bracket(Some(e)));
-            }
-        }
-
-        let mut next_class: u32 = 0;
-        let mut new_class = || {
-            let c = next_class;
-            next_class += 1;
-            c
-        };
-
-        let mut hi = vec![INF; n];
-        let mut blist: Vec<BracketList> = vec![BracketList::new(); n];
-        // Capping brackets to delete at their (ancestor) destination node.
-        let mut capping_down: Vec<Vec<BracketId>> = vec![Vec::new(); n];
-        let mut class_of_edge: Vec<u32> = vec![UNDEFINED_CLASS; graph.edge_count()];
-
-        // Reverse depth-first (descending dfsnum) order: every node is
-        // processed after all of its tree descendants.
-        for &node in dfs.nodes_by_dfsnum().iter().rev() {
-            let ni = node.index();
-            let my_dfsnum = dfs.dfsnum(node);
-
-            // hi0: highest (minimum dfsnum) destination among backedges
-            // whose lower endpoint is this node.
-            let mut hi0 = INF;
-            for &b in dfs.backedges_up(node) {
-                hi0 = hi0.min(dfs.dfsnum(dfs.back_upper(graph, b)));
-            }
-            // hi1/hi2: best and second-best `hi` among the children.
-            let mut hi1 = INF;
-            let mut hi2 = INF;
-            for &c in dfs.children(node) {
-                let h = hi[c.index()];
-                if h < hi1 {
-                    hi2 = hi1;
-                    hi1 = h;
-                } else if h < hi2 {
-                    hi2 = h;
-                }
-            }
-            hi[ni] = hi0.min(hi1);
-
-            // Merge the children's bracket lists (child lists on top, in
-            // discovery order; the order is arbitrary per the paper).
-            let mut list = BracketList::new();
-            for &c in dfs.children(node) {
-                let child_list = std::mem::take(&mut blist[c.index()]);
-                list = arena.concat(child_list, list);
-            }
-            // Delete capping backedges that end here.
-            for b in std::mem::take(&mut capping_down[ni]) {
-                arena.delete(&mut list, b);
-            }
-            // Delete real backedges from descendants that end here; a
-            // backedge that never became a compact name gets a fresh class.
-            for &e in dfs.backedges_down(node) {
-                let b = bracket_of_edge[e.index()].expect("backedge has a bracket");
-                arena.delete(&mut list, b);
-                if arena.class(b) == UNDEFINED_CLASS {
-                    arena.set_class(b, new_class());
-                }
-                class_of_edge[e.index()] = arena.class(b);
-            }
-            // Push backedges from this node to ancestors.
-            for &e in dfs.backedges_up(node) {
-                let b = bracket_of_edge[e.index()].expect("backedge has a bracket");
-                arena.push(&mut list, b);
-            }
-            // Capping backedge: needed when brackets of two different
-            // subtrees survive past this node and no own backedge already
-            // tops them both. (`hi2 < my_dfsnum` guards the degenerate case
-            // where the second subtree's backedges all end at or below this
-            // node — the paper's Figure 4 elides that guard.)
-            if hi2 < hi0 && hi2 < my_dfsnum {
-                pst_obs::counter!("brackets_capped");
-                let d = arena.new_bracket(None);
-                capping_down[dfs.node_with_dfsnum(hi2).index()].push(d);
-                arena.push(&mut list, d);
-            }
-
-            // Determine the class of the tree edge from parent(node).
-            if let Some(e) = dfs.parent_edge(node) {
-                if let Some(b) = arena.top(&list) {
-                    if arena.recent_size(b) != list.size() {
-                        pst_obs::counter!("recent_size_recomputed");
-                        arena.set_recent_size(b, list.size());
-                        arena.set_recent_class(b, new_class());
-                    }
-                    class_of_edge[e.index()] = arena.recent_class(b);
-                    // A tree edge with exactly one bracket is cycle
-                    // equivalent to that backedge (Theorem 4).
-                    if arena.recent_size(b) == 1 {
-                        arena.set_class(b, arena.recent_class(b));
-                    }
-                } else {
-                    // Bridge: on no cycle at all. All bridges are vacuously
-                    // cycle equivalent to each other; mark with a shared
-                    // sentinel resolved during renumbering.
-                    class_of_edge[e.index()] = BRIDGE_SENTINEL;
-                }
-            }
-            blist[ni] = list;
-        }
-
-        // Self-loops: each is a singleton class.
-        for &e in dfs.self_loops() {
-            class_of_edge[e.index()] = new_class();
-        }
-
-        Self::renumber(class_of_edge)
-    }
-
-    /// Renumbers raw class labels densely in edge-id order. The
-    /// `BRIDGE_SENTINEL` label maps to a single shared class.
-    fn renumber(raw: Vec<u32>) -> Self {
-        // Raw labels are either small counter values (bounded by the edge
-        // count in practice) or the bridge sentinel, so a dense side table
-        // beats hashing.
-        let bound = raw
-            .iter()
-            .filter(|&&l| l != BRIDGE_SENTINEL)
-            .max()
-            .map_or(0, |&m| m as usize + 1);
-        let mut map = vec![UNDEFINED_CLASS; bound];
-        let mut bridge_class = UNDEFINED_CLASS;
-        let mut class_of = Vec::with_capacity(raw.len());
-        let mut next = 0u32;
-        for label in raw {
-            debug_assert_ne!(label, UNDEFINED_CLASS, "edge left unclassified");
-            let slot = if label == BRIDGE_SENTINEL {
-                &mut bridge_class
-            } else {
-                &mut map[label as usize]
-            };
-            if *slot == UNDEFINED_CLASS {
-                *slot = next;
-                next += 1;
-            }
-            class_of.push(*slot);
-        }
-        CycleEquiv {
-            class_of,
-            num_classes: next,
-        }
+        let raw = graph_classes(graph, root)
+            .expect("cycle equivalence requires an undirected-connected graph");
+        Self::from_classes(raw)
     }
 
     /// Builds a `CycleEquiv` directly from a class array (used by the slow
     /// oracles and tests); labels are renumbered densely.
-    pub fn from_classes(raw: Vec<u32>) -> Self {
-        Self::renumber(raw)
+    pub fn from_classes(mut raw: Vec<u32>) -> Self {
+        let num_classes = renumber(&mut raw);
+        CycleEquiv {
+            class_of: raw,
+            num_classes,
+        }
     }
 
     /// The class of `edge`.
@@ -336,6 +210,302 @@ impl CycleEquiv {
 
 /// Raw label shared by all bridge edges before renumbering.
 const BRIDGE_SENTINEL: u32 = u32::MAX - 1;
+
+/// Renumbers labels in place, densely in first-occurrence order, and
+/// returns how many distinct labels there were.
+pub(crate) fn renumber(labels: &mut [u32]) -> u32 {
+    // Labels from the fast path are a counter's values (bounded by the
+    // edge count) or the bridge sentinel, so a dense side table beats
+    // hashing. Sparse labels from elsewhere are ranked into that range
+    // first.
+    let mut bound = labels
+        .iter()
+        .filter(|&&l| l != BRIDGE_SENTINEL)
+        .max()
+        .map_or(0, |&l| l as usize + 1);
+    if bound > 2 * labels.len() {
+        let mut keys = labels.to_vec();
+        keys.sort_unstable();
+        keys.dedup();
+        for l in labels.iter_mut().filter(|l| **l != BRIDGE_SENTINEL) {
+            *l = keys.binary_search(l).expect("every label is a key") as u32;
+        }
+        bound = keys.len();
+    }
+    let mut map = vec![NONE; bound];
+    let mut bridge_class = NONE;
+    let mut next = 0u32;
+    for label in labels {
+        let slot = if *label == BRIDGE_SENTINEL {
+            &mut bridge_class
+        } else {
+            &mut map[*label as usize]
+        };
+        if *slot == NONE {
+            *slot = next;
+            next += 1;
+        }
+        *label = *slot;
+    }
+    next
+}
+
+/// [`raw_classes`] of a materialized graph.
+fn graph_classes(graph: &Graph, root: NodeId) -> Result<Vec<u32>, usize> {
+    raw_classes(graph.node_count(), graph.edge_count(), root.index(), |e| {
+        let (s, t) = graph.endpoints(EdgeId::from_index(e));
+        (s.index(), t.index())
+    })
+}
+
+/// Node-to-edge incidence in compressed rows: the pairs `(edge, other
+/// endpoint)` of node `v` are `adj[off[v]..off[v + 1]]`, in edge-id order.
+struct Incidence {
+    off: Vec<u32>,
+    adj: Vec<(u32, u32)>,
+}
+
+impl Incidence {
+    /// Builds the incidence of `m` edges over `n` nodes. Self-loops are
+    /// left out: they bound no cycle but their own.
+    fn build(n: usize, m: usize, endpoints: &impl Fn(usize) -> (usize, usize)) -> Self {
+        let (off, adj) = group_rows(n, (NONE, NONE), || {
+            (0..m).flat_map(|e| {
+                let (u, v) = endpoints(e);
+                let sides = if u == v { 0 } else { 2 };
+                let e = e as u32;
+                [(u, (e, v as u32)), (v, (e, u as u32))]
+                    .into_iter()
+                    .take(sides)
+            })
+        });
+        Incidence { off, adj }
+    }
+
+    #[inline]
+    fn of(&self, v: u32) -> &[(u32, u32)] {
+        let v = v as usize;
+        &self.adj[self.off[v] as usize..self.off[v + 1] as usize]
+    }
+}
+
+/// One depth-first number's state in the sweep.
+#[derive(Clone, Copy)]
+struct Slot {
+    /// The node with this dfsnum.
+    node: u32,
+    /// The tree edge into `node` ([`NONE`] at the root).
+    parent_edge: u32,
+    /// `hi` of Figure 4: the least dfsnum any backedge from `node`'s
+    /// subtree reaches, once `node` is swept.
+    hi: u32,
+    /// Head of the chain of capping brackets that end at `node`.
+    caps: u32,
+    /// Brackets of the tree edge into `node`, once `node` is swept.
+    list: BracketList,
+}
+
+/// Iterative undirected DFS over `inc` from `root`: returns each node's
+/// dfsnum ([`NONE`] if unreached) and, per dfsnum, its [`Slot`].
+fn search(inc: &Incidence, n: usize, root: usize) -> (Vec<u32>, Vec<Slot>) {
+    let mut dfsnum = vec![NONE; n];
+    let mut slots = Vec::with_capacity(n);
+    let visit = |v: u32, parent_edge: u32, slots: &mut Vec<Slot>, dfsnum: &mut [u32]| {
+        dfsnum[v as usize] = slots.len() as u32;
+        slots.push(Slot {
+            node: v,
+            parent_edge,
+            hi: NONE,
+            caps: NONE,
+            list: BracketList::new(),
+        });
+        (inc.off[v as usize], inc.off[v as usize + 1])
+    };
+    // The stack holds each open node's (next, end) cursor into `adj`.
+    let mut stack = vec![visit(root as u32, NONE, &mut slots, &mut dfsnum)];
+    while let Some(cursor) = stack.last_mut() {
+        if cursor.0 == cursor.1 {
+            stack.pop();
+            continue;
+        }
+        let (e, w) = inc.adj[cursor.0 as usize];
+        cursor.0 += 1;
+        if dfsnum[w as usize] == NONE {
+            stack.push(visit(w, e, &mut slots, &mut dfsnum));
+        }
+    }
+    (dfsnum, slots)
+}
+
+/// Cycle-equivalence labels of the undirected multigraph with nodes
+/// `0..n` and edges `0..m`, edge `e` joining `endpoints(e)`, searched from
+/// `root < n`: edges are equivalent iff their labels are equal, and every
+/// bridge carries [`BRIDGE_SENTINEL`]. Labels are not dense; see
+/// [`renumber`].
+///
+/// # Errors
+///
+/// `Err(v)` names the lowest node the search did not reach.
+pub(crate) fn raw_classes(
+    n: usize,
+    m: usize,
+    root: usize,
+    endpoints: impl Fn(usize) -> (usize, usize),
+) -> Result<Vec<u32>, usize> {
+    let _span = pst_obs::Span::enter("cycle_equiv");
+    pst_obs::gauge!("cycle_equiv_nodes", n);
+    pst_obs::gauge!("cycle_equiv_edges", m);
+    // Ids, dfsnums and incidence offsets (two per edge) are all u32.
+    assert!(
+        n < NONE as usize && m < BRIDGE_SENTINEL as usize / 2,
+        "graph too large for u32 ids"
+    );
+    let mut class = vec![NONE; m];
+    let mut next_class = 0u32;
+    let (inc, dfsnum, mut slots) = {
+        let _span = pst_obs::Span::enter("undirected_dfs");
+        pst_obs::counter!("dfs_edges_examined", m);
+        let inc = Incidence::build(n, m, &endpoints);
+        let (dfsnum, slots) = search(&inc, n, root);
+        (inc, dfsnum, slots)
+    };
+    if slots.len() < n {
+        let unreached = dfsnum.iter().position(|&d| d == NONE);
+        return Err(unreached.expect("fewer slots than nodes"));
+    }
+
+    let mut arena = BracketArena::with_brackets(m);
+    let (mut pushed, mut popped, mut capped, mut recomputed) = (0u64, 0u64, 0u64, 0u64);
+    // Reverse preorder: every node is swept after all of its descendants.
+    for i in (0..n).rev() {
+        let num = i as u32;
+        let Slot {
+            node,
+            parent_edge,
+            caps,
+            ..
+        } = slots[i];
+        let incident = inc.of(node);
+
+        // hi0: least dfsnum reached by a backedge up from this node;
+        // hi1/hi2: best and second-best `hi` among the children, whose
+        // bracket lists merge here (child lists on top, in scan order; the
+        // order is arbitrary per the paper).
+        let (mut hi0, mut hi1, mut hi2) = (NONE, NONE, NONE);
+        let mut list = BracketList::new();
+        for &(e, w) in incident {
+            let d = dfsnum[w as usize];
+            if d < num {
+                if e != parent_edge {
+                    hi0 = hi0.min(d);
+                }
+            } else if slots[d as usize].parent_edge == e {
+                let child = slots[d as usize];
+                if child.hi < hi1 {
+                    hi2 = hi1;
+                    hi1 = child.hi;
+                } else if child.hi < hi2 {
+                    hi2 = child.hi;
+                }
+                list = arena.concat(child.list, list);
+            }
+        }
+        // Delete the capping brackets that end here.
+        let mut cap = caps;
+        while cap != NONE {
+            let b = BracketId::new(cap);
+            cap = arena.chain(b);
+            arena.delete(&mut list, b);
+            popped += 1;
+        }
+        // Delete backedges from descendants that end here (one that never
+        // became a compact name gets a fresh class) and push backedges to
+        // ancestors. Pushes after all merges keep them on top.
+        for &(e, w) in incident {
+            let d = dfsnum[w as usize];
+            if d < num {
+                if e != parent_edge {
+                    arena.push(&mut list, BracketId::new(e));
+                    pushed += 1;
+                }
+            } else if slots[d as usize].parent_edge != e {
+                arena.delete(&mut list, BracketId::new(e));
+                popped += 1;
+                let c = &mut class[e as usize];
+                if *c == NONE {
+                    *c = next_class;
+                    next_class += 1;
+                }
+            }
+        }
+        // Capping backedge: needed when brackets of two different subtrees
+        // survive past this node and no own backedge already tops them
+        // both. (`hi2 < num` guards the degenerate case where the second
+        // subtree's backedges all end at or below this node — the paper's
+        // Figure 4 elides that guard.) It implies a non-root node, whose
+        // tree edge lends the capping bracket its id.
+        if hi2 < hi0 && hi2 < num {
+            let b = BracketId::new(parent_edge);
+            let dest = &mut slots[hi2 as usize].caps;
+            arena.set_chain(b, *dest);
+            *dest = parent_edge;
+            arena.push(&mut list, b);
+            pushed += 1;
+            capped += 1;
+        }
+
+        // Determine the class of the tree edge from the parent.
+        if parent_edge != NONE {
+            class[parent_edge as usize] = match arena.top(&list) {
+                Some(b) => {
+                    if arena.recent_size(b) != list.size() {
+                        arena.set_recent(b, list.size(), next_class);
+                        next_class += 1;
+                        recomputed += 1;
+                    }
+                    let c = arena.recent_class(b);
+                    // A tree edge with exactly one bracket is cycle
+                    // equivalent to that backedge (Theorem 4). That one
+                    // bracket is never a cap (a cap lies over brackets of
+                    // two subtrees that outlive it), and a backedge named
+                    // before was named with this same class.
+                    let top = &mut class[b.index() as usize];
+                    if list.size() == 1 && *top == NONE {
+                        *top = c;
+                    }
+                    c
+                }
+                // Bridge: on no cycle at all. All bridges are vacuously
+                // cycle equivalent to each other.
+                None => BRIDGE_SENTINEL,
+            };
+        }
+        let slot = &mut slots[i];
+        slot.hi = hi0.min(hi1);
+        slot.list = list;
+    }
+    // One registry update per counter and call; a count of zero stays
+    // absent from the report, as an operation that never happened.
+    if pushed > 0 {
+        pst_obs::counter!("brackets_pushed", pushed);
+    }
+    if popped > 0 {
+        pst_obs::counter!("brackets_popped", popped);
+    }
+    if capped > 0 {
+        pst_obs::counter!("brackets_capped", capped);
+    }
+    if recomputed > 0 {
+        pst_obs::counter!("recent_size_recomputed", recomputed);
+    }
+    // The sweep classified every edge of the connected incidence; what is
+    // left are the self-loops, each a singleton class.
+    for c in class.iter_mut().filter(|c| **c == NONE) {
+        *c = next_class;
+        next_class += 1;
+    }
+    Ok(class)
+}
 
 /// The step budget of a slow cycle-equivalence oracle ran out before the
 /// computation finished.
@@ -402,7 +572,7 @@ pub fn cycle_equiv_slow_directed(
     let probe_cost = (graph.node_count() + m) as u64 + 1;
     // on_cycle_avoiding[a][b] = exists directed cycle through a avoiding b.
     let mut next_label = 0u32;
-    let mut labels = vec![UNDEFINED_CLASS; m];
+    let mut labels = vec![NONE; m];
     let in_cycle_avoiding = |a: EdgeId, b: Option<EdgeId>| -> bool {
         if Some(a) == b {
             return false;
@@ -411,13 +581,13 @@ pub fn cycle_equiv_slow_directed(
         reach[graph.source(a).index()]
     };
     for i in 0..m {
-        if labels[i] != UNDEFINED_CLASS {
+        if labels[i] != NONE {
             continue;
         }
         let a = EdgeId::from_index(i);
         labels[i] = next_label;
         for (j, label) in labels.iter_mut().enumerate().skip(i + 1) {
-            if *label != UNDEFINED_CLASS {
+            if *label != NONE {
                 continue;
             }
             spend(&mut remaining, 2 * probe_cost, total)?;
@@ -454,7 +624,7 @@ pub fn cycle_equiv_slow_undirected(
     let total = budget.unwrap_or(0);
     let mut remaining = budget;
     let sweep_cost = (graph.node_count() + m) as u64 + 1;
-    let mut labels = vec![UNDEFINED_CLASS; m];
+    let mut labels = vec![NONE; m];
     let mut next_label = 0u32;
 
     // in_cycle_without[b.index()][a.index()] = a lies on an undirected
@@ -466,13 +636,13 @@ pub fn cycle_equiv_slow_undirected(
     }
 
     for i in 0..m {
-        if labels[i] != UNDEFINED_CLASS {
+        if labels[i] != NONE {
             continue;
         }
         let a = EdgeId::from_index(i);
         labels[i] = next_label;
         for j in (i + 1)..m {
-            if labels[j] != UNDEFINED_CLASS {
+            if labels[j] != NONE {
                 continue;
             }
             spend(&mut remaining, 1, total)?;

@@ -50,6 +50,7 @@ mod collapse;
 mod control_regions;
 mod cycle_equiv;
 mod dot;
+mod group;
 mod incremental;
 mod pst;
 mod sese;
@@ -58,7 +59,7 @@ mod stats;
 
 pub use classify::{classify_regions, RegionClassification, RegionKind};
 pub use collapse::{collapse_all, CollapsedNode, CollapsedRegion};
-pub use control_regions::{node_expand, ControlRegions};
+pub use control_regions::ControlRegions;
 pub use cycle_equiv::{
     cycle_equiv_slow_directed, cycle_equiv_slow_undirected, CycleEquiv, CycleEquivError,
     OracleBudgetExceeded,
@@ -66,6 +67,6 @@ pub use cycle_equiv::{
 pub use dot::pst_to_dot;
 pub use incremental::{insert_edge, EdgeInsertion, InsertEdgeError};
 pub use pst::{ProgramStructureTree, PstSignature, RegionId};
-pub use sese::{canonical_regions, CanonicalRegions, SeseRegion};
+pub use sese::{canonical_regions, CanonicalRegions, OrderedClasses, SeseRegion};
 pub use slow_brackets::{cycle_equiv_slow_brackets, cycle_equiv_slow_brackets_unchecked};
 pub use stats::PstStats;

@@ -10,7 +10,8 @@
 
 use pst_cfg::{Cfg, Dfs, DirectedEdgeKind, EdgeId, NodeId};
 
-use crate::sese::{canonical_regions, CanonicalRegions, SeseRegion};
+use crate::group::group_rows;
+use crate::sese::{detect, CanonicalRegions, SeseRegion};
 
 /// Identifier of a region in a [`ProgramStructureTree`].
 ///
@@ -41,10 +42,34 @@ impl std::fmt::Display for RegionId {
 struct RegionData {
     bounds: Option<SeseRegion>,
     parent: Option<RegionId>,
-    children: Vec<RegionId>,
     depth: u32,
     pre: u32,
     post: u32,
+}
+
+/// Every region's children, stored flat: region `r`'s are
+/// `list[start[r]..start[r + 1]]`, in region-id order.
+#[derive(Clone, Debug)]
+struct Children {
+    start: Vec<u32>,
+    list: Vec<RegionId>,
+}
+
+impl Children {
+    /// Groups every non-root region under its parent.
+    fn of(regions: &[RegionData]) -> Self {
+        let (start, list) = group_rows(regions.len(), RegionId(0), || {
+            regions.iter().enumerate().skip(1).map(|(i, r)| {
+                let parent = r.parent.expect("non-root region has a parent");
+                (parent.index(), RegionId::from_index(i))
+            })
+        });
+        Children { start, list }
+    }
+
+    fn of_region(&self, r: RegionId) -> &[RegionId] {
+        &self.list[self.start[r.index()] as usize..self.start[r.index() + 1] as usize]
+    }
 }
 
 /// The program structure tree of a control flow graph.
@@ -66,6 +91,7 @@ struct RegionData {
 #[derive(Clone, Debug)]
 pub struct ProgramStructureTree {
     regions: Vec<RegionData>,
+    children: Children,
     node_region: Vec<RegionId>,
     edge_region: Vec<RegionId>,
     detection: Option<CanonicalRegions>,
@@ -81,11 +107,13 @@ impl ProgramStructureTree {
     /// (any valid [`Cfg`] is acceptable, including irreducible ones).
     pub fn build(cfg: &Cfg) -> Self {
         let _span = pst_obs::Span::enter("pst");
-        let detection = canonical_regions(cfg);
-        Self::from_detection(cfg, detection)
+        let (detection, dfs) = detect(cfg);
+        Self::from_detection(cfg, detection, &dfs)
     }
 
-    fn from_detection(cfg: &Cfg, detection: CanonicalRegions) -> Self {
+    /// Threads `cfg`'s nodes and edges into the regions of `detection`
+    /// along `dfs`, the directed DFS detection ran.
+    fn from_detection(cfg: &Cfg, detection: CanonicalRegions, dfs: &Dfs) -> Self {
         let graph = cfg.graph();
         let m = graph.edge_count();
 
@@ -94,7 +122,6 @@ impl ProgramStructureTree {
         regions.push(RegionData {
             bounds: None,
             parent: None,
-            children: Vec::new(),
             depth: 0,
             pre: 0,
             post: 0,
@@ -106,8 +133,7 @@ impl ProgramStructureTree {
             regions.push(RegionData {
                 bounds: Some(r),
                 parent: None,
-                children: Vec::new(),
-                depth: 0,
+                    depth: 0,
                 pre: 0,
                 post: 0,
             });
@@ -121,7 +147,6 @@ impl ProgramStructureTree {
         // time: crossing an edge first closes the region it exits, then
         // opens the region it enters.
         let root = RegionId::from_index(0);
-        let dfs = Dfs::new(graph, cfg.entry());
         let mut node_region: Vec<RegionId> = vec![root; graph.node_count()];
         let mut edge_region: Vec<RegionId> = vec![root; m];
 
@@ -177,11 +202,8 @@ impl ProgramStructureTree {
         }
 
         // Children, depths, and pre/post intervals.
-        for i in 1..regions.len() {
-            let p = regions[i].parent.expect("non-root region has a parent");
-            regions[p.index()].children.push(RegionId::from_index(i));
-        }
-        assign_depths_and_intervals(&mut regions);
+        let children = Children::of(&regions);
+        assign_depths_and_intervals(&mut regions, &children);
 
         // Telemetry: the shape of every build feeds two fleet-mergeable
         // histograms — nesting depth per canonical region, and innermost
@@ -199,6 +221,7 @@ impl ProgramStructureTree {
 
         ProgramStructureTree {
             regions,
+            children,
             node_region,
             edge_region,
             detection: Some(detection),
@@ -248,7 +271,7 @@ impl ProgramStructureTree {
 
     /// Immediately nested regions, in entry-edge discovery order.
     pub fn children(&self, region: RegionId) -> &[RegionId] {
-        &self.regions[region.index()].children
+        self.children.of_region(region)
     }
 
     /// Nesting depth (root = 0, its children = 1, …).
@@ -374,16 +397,9 @@ impl ProgramStructureTree {
         {
             return false;
         }
-        let old = &mut self.regions[old_parent.index()];
-        let pos = old
-            .children
-            .iter()
-            .position(|&c| c == region)
-            .expect("parent lists region as a child");
-        old.children.remove(pos);
-        self.regions[new_parent.index()].children.push(region);
         self.regions[region.index()].parent = Some(new_parent);
-        assign_depths_and_intervals(&mut self.regions);
+        self.children = Children::of(&self.regions);
+        assign_depths_and_intervals(&mut self.regions, &self.children);
         true
     }
 
@@ -408,8 +424,9 @@ impl ProgramStructureTree {
 }
 
 /// Recomputes `depth`, `pre`, and `post` for a region forest whose
-/// `parent`/`children` links are already consistent and rooted at region 0.
-fn assign_depths_and_intervals(regions: &mut [RegionData]) {
+/// `parent` links and `children` are already consistent and rooted at
+/// region 0.
+fn assign_depths_and_intervals(regions: &mut [RegionData], children: &Children) {
     let root = RegionId::from_index(0);
     let mut clock = 0u32;
     let mut stack: Vec<(RegionId, usize)> = vec![(root, 0)];
@@ -417,8 +434,7 @@ fn assign_depths_and_intervals(regions: &mut [RegionData]) {
     regions[root.index()].depth = 0;
     clock += 1;
     while let Some(&mut (r, ref mut next)) = stack.last_mut() {
-        if *next < regions[r.index()].children.len() {
-            let c = regions[r.index()].children[*next];
+        if let Some(&c) = children.of_region(r).get(*next) {
             *next += 1;
             regions[c.index()].pre = clock;
             clock += 1;
@@ -463,19 +479,16 @@ pub(crate) fn rebuild_from_parts(
         .map(|&(bounds, parent)| RegionData {
             bounds,
             parent: parent.map(RegionId::from_index),
-            children: Vec::new(),
             depth: 0,
             pre: 0,
             post: 0,
         })
         .collect();
-    for i in 1..regions.len() {
-        let p = regions[i].parent.expect("non-root region has a parent");
-        regions[p.index()].children.push(RegionId::from_index(i));
-    }
-    assign_depths_and_intervals(&mut regions);
+    let children = Children::of(&regions);
+    assign_depths_and_intervals(&mut regions, &children);
     ProgramStructureTree {
         regions,
+        children,
         node_region: node_region.into_iter().map(RegionId::from_index).collect(),
         edge_region: edge_region.into_iter().map(RegionId::from_index).collect(),
         detection: None,

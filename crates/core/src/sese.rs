@@ -10,6 +10,8 @@
 
 use pst_cfg::{Cfg, Dfs, EdgeId};
 
+use crate::cycle_equiv::raw_classes;
+use crate::group::group_rows;
 use crate::CycleEquiv;
 
 /// One canonical SESE region, identified by its entry and exit edges.
@@ -34,7 +36,38 @@ pub struct CanonicalRegions {
     pub regions: Vec<SeseRegion>,
     /// For every cycle-equivalence class, the CFG edges of that class in
     /// dominance order (the virtual backedge is excluded).
-    pub ordered_classes: Vec<Vec<EdgeId>>,
+    pub ordered_classes: OrderedClasses,
+}
+
+/// The CFG edges of every cycle-equivalence class in dominance order,
+/// stored flat: class `c` is `edges[start[c]..start[c + 1]]`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct OrderedClasses {
+    start: Vec<u32>,
+    edges: Vec<EdgeId>,
+}
+
+impl OrderedClasses {
+    /// Number of classes (some may hold only the virtual backedge and so
+    /// be empty here).
+    pub fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Whether there are no classes at all.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The CFG edges of class `c` in dominance order.
+    pub fn class(&self, c: usize) -> &[EdgeId] {
+        &self.edges[self.start[c] as usize..self.start[c + 1] as usize]
+    }
+
+    /// Every class's edges, in class order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[EdgeId]> + '_ {
+        (0..self.len()).map(|c| self.class(c))
+    }
 }
 
 /// Finds all canonical SESE regions of `cfg` in `O(E)` time.
@@ -52,40 +85,61 @@ pub struct CanonicalRegions {
 /// assert_eq!(found.regions.len(), 2);
 /// ```
 pub fn canonical_regions(cfg: &Cfg) -> CanonicalRegions {
+    detect(cfg).0
+}
+
+/// [`canonical_regions`] plus the directed DFS of `G` it ran, which the
+/// PST construction threads nodes and edges along.
+pub(crate) fn detect(cfg: &Cfg) -> (CanonicalRegions, Dfs) {
     let _span = pst_obs::Span::enter("sese");
-    let (s, _virtual_edge) = cfg.to_strongly_connected();
-    // The closure S of a valid CFG is strongly connected (Theorem 2), so
-    // the connectivity precondition holds by construction.
-    let cycle_equiv = CycleEquiv::compute_unchecked(&s, cfg.entry());
+    let g = cfg.graph();
+    let m = g.edge_count();
+    let (entry, exit) = (cfg.entry().index(), cfg.exit().index());
+    // S = G + (exit → entry) by its endpoint function, with the virtual
+    // edge as id `m`. S of a valid CFG is strongly connected (Theorem 2),
+    // so the connectivity precondition holds by construction.
+    let raw = raw_classes(g.node_count(), m + 1, entry, |e| {
+        if e < m {
+            let (u, v) = g.endpoints(EdgeId::from_index(e));
+            (u.index(), v.index())
+        } else {
+            (exit, entry)
+        }
+    })
+    .expect("S of a valid CFG is connected");
+    let cycle_equiv = CycleEquiv::from_classes(raw);
 
     // Directed DFS of G meets the edges of each class in dominance order.
     let dfs = Dfs::new(cfg.graph(), cfg.entry());
-    let mut ordered_classes: Vec<Vec<EdgeId>> = vec![Vec::new(); cycle_equiv.num_classes()];
+    let order = dfs.edges_in_examination_order();
+    let class_of = |e: EdgeId| cycle_equiv.class(e) as usize;
+    let (start, edges) = group_rows(cycle_equiv.num_classes(), EdgeId::from_index(0), || {
+        order.iter().map(|&e| (class_of(e), e))
+    });
     let mut pos_in_class: Vec<u32> = vec![0; cfg.edge_count()];
-    for &e in dfs.edges_in_examination_order() {
-        let class = &mut ordered_classes[cycle_equiv.class(e) as usize];
-        pos_in_class[e.index()] = class.len() as u32;
-        class.push(e);
+    for (i, &e) in edges.iter().enumerate() {
+        pos_in_class[e.index()] = i as u32;
     }
+    let ordered_classes = OrderedClasses { start, edges };
 
     // Regions are emitted at their entry edge so the output order is the
     // DFS-discovery order of region entries.
     let mut regions = Vec::new();
-    for &e in dfs.edges_in_examination_order() {
-        let class = &ordered_classes[cycle_equiv.class(e) as usize];
-        let pos = pos_in_class[e.index()] as usize;
-        if pos + 1 < class.len() {
+    for &e in order {
+        let next = pos_in_class[e.index()] as usize + 1;
+        if next < ordered_classes.start[class_of(e) + 1] as usize {
             regions.push(SeseRegion {
                 entry: e,
-                exit: class[pos + 1],
+                exit: ordered_classes.edges[next],
             });
         }
     }
-    CanonicalRegions {
+    let found = CanonicalRegions {
         cycle_equiv,
         regions,
         ordered_classes,
-    }
+    };
+    (found, dfs)
 }
 
 #[cfg(test)]
@@ -121,7 +175,7 @@ mod tests {
         }
         // Canonicity: within a class ordered by dominance, regions pair
         // adjacent edges only.
-        for class in &found.ordered_classes {
+        for class in found.ordered_classes.iter() {
             for w in class.windows(2) {
                 assert!(
                     edge_dom(w[0], w[1]),

@@ -125,6 +125,16 @@ pub enum Event {
 }
 
 impl Event {
+    /// Every wire tag [`Event::type_str`] can return, in declaration order.
+    pub const TYPES: [&'static str; 6] = [
+        "run_start",
+        "run_end",
+        "unit_summary",
+        "lint_finding",
+        "fuzz_crash",
+        "slow_request",
+    ];
+
     /// The wire tag stored in the `type` field.
     pub fn type_str(&self) -> &'static str {
         match self {
@@ -466,6 +476,47 @@ mod tests {
         assert_eq!(mint_trace_id(Some(7)), mint_trace_id(Some(7)));
         assert_ne!(mint_trace_id(Some(7)), mint_trace_id(Some(8)));
         assert_eq!(mint_trace_id(Some(7)).len(), 16);
+    }
+
+    #[test]
+    fn types_lists_every_variant_tag_in_order() {
+        let s = || String::new();
+        let one_of_each = [
+            Event::RunStart {
+                command: s(),
+                args: vec![],
+            },
+            Event::RunEnd {
+                command: s(),
+                exit_code: 0,
+                nanos: 0,
+            },
+            Event::UnitSummary {
+                unit: s(),
+                nanos: 0,
+                count: 0,
+            },
+            Event::LintFinding {
+                unit: s(),
+                rule: s(),
+                severity: s(),
+                message: s(),
+            },
+            Event::FuzzCrash {
+                seed: 0,
+                kind: s(),
+                detail: s(),
+                reproducer: None,
+            },
+            Event::SlowRequest {
+                method: s(),
+                unit: None,
+                total_nanos: 0,
+                compute_nanos: 0,
+            },
+        ];
+        let tags: Vec<_> = one_of_each.iter().map(Event::type_str).collect();
+        assert_eq!(tags, Event::TYPES);
     }
 
     #[test]

@@ -85,6 +85,8 @@ proptest! {
         prop_assert_eq!(reparsed.unwrap().to_json().to_string(), line);
         // And the JSON itself is valid for third-party consumers.
         prop_assert!(Json::parse(&line).is_ok());
+        // Filters such as `pst obs --type` accept exactly these tags.
+        prop_assert!(Event::TYPES.contains(&record.event.type_str()));
     }
 }
 

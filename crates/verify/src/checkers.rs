@@ -156,7 +156,7 @@ pub fn check_sese(cfg: &Cfg, detection: &CanonicalRegions) -> ViolationReport {
             ));
         }
     }
-    for class in &detection.ordered_classes {
+    for class in detection.ordered_classes.iter() {
         for w in class.windows(2) {
             if !oracle.edge_dom(w[0], w[1]) || !oracle.edge_pdom(w[1], w[0]) {
                 report.push(format!(

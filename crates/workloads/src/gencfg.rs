@@ -201,7 +201,7 @@ pub fn random_cfg(n: usize, extra: usize, seed: u64) -> Result<Cfg, RandomCfgErr
     // practice; the loop guard keeps pathological seeds from panicking.
     for _pass in 0..n {
         let g = b.graph();
-        let back = g.reversed().reachable_from(nodes[n - 1]);
+        let back = g.reaching(nodes[n - 1]);
         let offenders: Vec<usize> = (1..n - 1).filter(|&i| !back[i]).collect();
         if offenders.is_empty() {
             break;
