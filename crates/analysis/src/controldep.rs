@@ -334,8 +334,9 @@ pub(crate) fn synthetic_termination_dependence(
 /// `PST-C103` (graph inputs) — decisive order dependence: a branch that
 /// does not decide *whether* two nodes execute (they always both do) but
 /// does decide *in which order*. Computed by the DOD relation on the raw
-/// input graph; one finding per deciding branch, witnesses aggregated.
-pub(crate) fn order_dependent_pairs(graph: &Graph, sink: &mut Sink<'_>) {
+/// input graph (`dod`, or computed here when the caller has none); one
+/// finding per deciding branch, witnesses aggregated.
+pub(crate) fn order_dependent_pairs(graph: &Graph, dod: Option<&Dod>, sink: &mut Sink<'_>) {
     let Some(rule) = sink.rule("PST-C103") else {
         return;
     };
@@ -343,7 +344,14 @@ pub(crate) fn order_dependent_pairs(graph: &Graph, sink: &mut Sink<'_>) {
         "lint_strongdep_work",
         (graph.node_count() + graph.edge_count()) as u64
     );
-    let dod = Dod::compute_budgeted(graph, DEFAULT_DOD_BUDGET);
+    let computed;
+    let dod = match dod {
+        Some(dod) => dod,
+        None => {
+            computed = Dod::compute_budgeted(graph, DEFAULT_DOD_BUDGET);
+            &computed
+        }
+    };
     if dod.is_empty() {
         return;
     }

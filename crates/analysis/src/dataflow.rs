@@ -1,51 +1,76 @@
-//! Dataflow rules over sparse reaching definitions.
+//! Dataflow rules over one reaching-definitions solution.
 //!
-//! Both rules solve per-function reaching-definition problems through the
-//! quick propagation graph when the PST admits one, falling back to the
-//! iterative solver otherwise, so the diagnostics are identical either way.
+//! `PST-D001` and `PST-D002` read the same all-variable reaching
+//! definitions, solved once per function through the quick propagation
+//! graph (falling back to the iterative solver when the PST admits no
+//! QPG; both reach the same fixed point, so the fallback never changes
+//! what the rules report). D001's question — does any definition of `v`
+//! reach `n`? — is the projection of that solution onto `v`'s sites.
 
-use pst_cfg::{Cfg, NodeId};
+use pst_cfg::NodeId;
 use pst_core::ProgramStructureTree;
-use pst_dataflow::{
-    solve_iterative, DataflowProblem, QpgContext, ReachingDefinitions, SingleVariableReachingDefs,
-    Solution,
-};
+use pst_dataflow::{solve_iterative, QpgContext, ReachingDefinitions, Solution};
 use pst_lang::{LoweredFunction, SrcPos, VarId};
 
-use crate::diag::Diagnostic;
+use crate::diag::{Diagnostic, Rule};
 use crate::engine::Sink;
 
-/// Solves `problem` sparsely via the QPG built from `site_nodes`, falling
-/// back to the iterative solver if the QPG cannot be built. Both paths
-/// produce the same fixed point (the differential fuzz subcommand checks
-/// exactly this), so the fallback never changes what the rules report.
-fn sparse_solution<P: DataflowProblem>(
-    ctx: Option<&QpgContext<'_>>,
-    cfg: &Cfg,
-    problem: &P,
-    site_nodes: &[NodeId],
-) -> Solution {
-    if let Some(ctx) = ctx {
-        if let Ok(qpg) = ctx.build_from_sites(site_nodes) {
-            if let Ok(solution) = ctx.solve(&qpg, problem) {
-                return solution;
-            }
-        }
+/// `PST-D001` and `PST-D002` over `f`: one all-variable reaching
+/// definitions problem, solved once (sparsely via the QPG of its
+/// definition blocks), feeds both.
+pub(crate) fn reaching_definition_rules(
+    f: &LoweredFunction,
+    pst: &ProgramStructureTree,
+    sink: &mut Sink<'_>,
+) {
+    // `Sink::rule` records a rule once, so `rules_over` may ask again.
+    if sink.rule("PST-D001").is_none() && sink.rule("PST-D002").is_none() {
+        return;
     }
-    solve_iterative(cfg, problem)
+    let rd = ReachingDefinitions::new(f);
+    let solution = (!rd.sites().is_empty()).then(|| {
+        let site_nodes: Vec<NodeId> = rd.sites().iter().map(|s| s.node).collect();
+        // The iterative fallback reaches the same fixed point.
+        QpgContext::new(&f.cfg, pst)
+            .and_then(|ctx| ctx.solve(&ctx.build_from_sites(&site_nodes)?, &rd))
+            .unwrap_or_else(|_| solve_iterative(&f.cfg, &rd))
+    });
+    rules_over(f, &rd, solution.as_ref(), sink);
+}
+
+/// Runs the enabled D rules over `rd` and its `solution` (`None` when `rd`
+/// has no sites, so nothing reaches anywhere).
+pub(crate) fn rules_over(
+    f: &LoweredFunction,
+    rd: &ReachingDefinitions,
+    solution: Option<&Solution>,
+    sink: &mut Sink<'_>,
+) {
+    let (d001, d002) = (sink.rule("PST-D001"), sink.rule("PST-D002"));
+    // Site ids per variable, ascending.
+    let mut var_sites: Vec<Vec<usize>> = vec![Vec::new(); f.var_count()];
+    for (i, s) in rd.sites().iter().enumerate() {
+        var_sites[s.var.index()].push(i);
+    }
+    let reaches = |n: NodeId, i: usize| solution.is_some_and(|s| s.value_in(n).contains(i));
+    if let Some(rule) = d001 {
+        uninitialized_uses(f, &var_sites, &reaches, rule, sink);
+    }
+    if let Some(rule) = d002 {
+        dead_definitions(f, rd, &var_sites, &reaches, rule, sink);
+    }
 }
 
 /// `PST-D001` (mini inputs) — a read of a variable that no definition can
 /// reach. May-analysis semantics: if *some* path defines the variable the
 /// rule stays silent; only reads that are uninitialized on every path fire.
-pub(crate) fn uninitialized_uses(
+fn uninitialized_uses(
     f: &LoweredFunction,
-    pst: &ProgramStructureTree,
+    var_sites: &[Vec<usize>],
+    reaches: &dyn Fn(NodeId, usize) -> bool,
+    rule: &'static Rule,
     sink: &mut Sink<'_>,
 ) {
-    let Some(rule) = sink.rule("PST-D001") else {
-        return;
-    };
     let graph = f.cfg.graph();
     pst_obs::counter!(
         "lint_dataflow_work",
@@ -77,40 +102,23 @@ pub(crate) fn uninitialized_uses(
             }
         }
     }
-    let ctx = QpgContext::new(&f.cfg, pst).ok();
     for (v, uses) in exposed.iter().enumerate() {
-        if uses.is_empty() {
-            continue;
-        }
         let var = VarId::from_index(v);
-        let problem = SingleVariableReachingDefs::new(f, var);
-        let solution = if problem.sites().is_empty() {
-            None // no definition anywhere: every exposed use fires
-        } else {
-            Some(sparse_solution(
-                ctx.as_ref(),
-                &f.cfg,
-                &problem,
-                problem.sites(),
-            ))
-        };
         for &(n, pos) in uses {
-            let reached = solution
-                .as_ref()
-                .is_some_and(|s| !s.value_in(n).is_empty());
-            if !reached {
-                sink.push(Diagnostic {
-                    rule: rule.id,
-                    severity: sink.severity(rule),
-                    message: format!(
-                        "uninitialized use: `{}` is read at {n} but no definition reaches it",
-                        f.var_name(var)
-                    ),
-                    pos,
-                    nodes: vec![n],
-                    edges: Vec::new(),
-                });
+            if var_sites[v].iter().any(|&i| reaches(n, i)) {
+                continue;
             }
+            sink.push(Diagnostic {
+                rule: rule.id,
+                severity: sink.severity(rule),
+                message: format!(
+                    "uninitialized use: `{}` is read at {n} but no definition reaches it",
+                    f.var_name(var)
+                ),
+                pos,
+                nodes: vec![n],
+                edges: Vec::new(),
+            });
         }
     }
 }
@@ -118,15 +126,14 @@ pub(crate) fn uninitialized_uses(
 /// `PST-D002` (mini inputs) — an assignment whose value no later read can
 /// observe. Definitions without source positions (implicit parameter
 /// definitions, generated programs) are exempt.
-pub(crate) fn dead_definitions(
+fn dead_definitions(
     f: &LoweredFunction,
-    pst: &ProgramStructureTree,
+    rd: &ReachingDefinitions,
+    var_sites: &[Vec<usize>],
+    reaches: &dyn Fn(NodeId, usize) -> bool,
+    rule: &'static Rule,
     sink: &mut Sink<'_>,
 ) {
-    let Some(rule) = sink.rule("PST-D002") else {
-        return;
-    };
-    let rd = ReachingDefinitions::new(f);
     let sites = rd.sites();
     if sites.is_empty() {
         return;
@@ -136,9 +143,6 @@ pub(crate) fn dead_definitions(
         "lint_dataflow_work",
         (sites.len() + f.statement_count()) as u64
     );
-    let ctx = QpgContext::new(&f.cfg, pst).ok();
-    let site_nodes: Vec<NodeId> = sites.iter().map(|s| s.node).collect();
-    let solution = sparse_solution(ctx.as_ref(), &f.cfg, &rd, &site_nodes);
     // Mark every definition some use can observe. Within a block a use
     // consumes the closest local definition; an upward-exposed use consumes
     // every reaching definition of its variable.
@@ -152,7 +156,6 @@ pub(crate) fn dead_definitions(
     for n in graph.nodes() {
         let stamp = n.index() as u32;
         let info = &f.blocks[n.index()];
-        let reaching = solution.value_in(n);
         let consume = |u: VarId,
                        consumed: &mut [bool],
                        local_stamp: &[u32],
@@ -162,8 +165,8 @@ pub(crate) fn dead_definitions(
                 consumed[local_site[u.index()]] = true;
             } else if exposed_stamp[u.index()] != stamp {
                 exposed_stamp[u.index()] = stamp;
-                for si in reaching.iter() {
-                    if sites[si].var == u {
+                for &si in &var_sites[u.index()] {
+                    if reaches(n, si) {
                         consumed[si] = true;
                     }
                 }

@@ -2,7 +2,9 @@
 //! a raw graph and collects the findings into a [`LintReport`].
 
 use pst_cfg::{canonicalize, Canonicalized, CanonicalizeError, CanonicalizeOptions, Graph, NodeId};
+use pst_controldep::Dod;
 use pst_core::{ControlRegions, ProgramStructureTree};
+use pst_dataflow::{ReachingDefinitions, Solution};
 use pst_lang::{Function, LoweredFunction};
 
 use crate::diag::{find_rule, Diagnostic, LintConfig, LintReport, Rule, Severity};
@@ -96,8 +98,24 @@ pub fn lint_function(
     controldep::vacuous_branches(&f.cfg, &regions, Some(f), &mut sink);
     controldep::empty_branch_arms(f, &regions, &mut sink);
     controldep::invariant_loop_guards(f, &mut sink);
-    dataflow::uninitialized_uses(f, &pst, &mut sink);
-    dataflow::dead_definitions(f, &pst, &mut sink);
+    dataflow::reaching_definition_rules(f, &pst, &mut sink);
+    sink.into_report()
+}
+
+/// Runs the dataflow rules (`PST-D001`, `PST-D002`) of [`lint_function`]
+/// over a caller-supplied reaching-definitions `solution` for `rd`.
+///
+/// `lint_function` feeds these rules its own solve; this entry point lets
+/// a test hand them a deliberately perturbed solution and check that an
+/// independent oracle notices.
+pub fn lint_dataflow(
+    f: &LoweredFunction,
+    rd: &ReachingDefinitions,
+    solution: &Solution,
+    config: &LintConfig,
+) -> LintReport {
+    let mut sink = Sink::new(config);
+    dataflow::rules_over(f, rd, Some(solution), &mut sink);
     sink.into_report()
 }
 
@@ -115,7 +133,7 @@ pub struct GraphLint {
 }
 
 /// Lints a raw graph: canonicalizes it, then runs every rule that does not
-/// need statement-level information.
+/// need statement-level information (see [`lint_canonicalized`]).
 ///
 /// # Errors
 ///
@@ -127,8 +145,25 @@ pub fn lint_graph(
     options: &CanonicalizeOptions,
     config: &LintConfig,
 ) -> Result<GraphLint, CanonicalizeError> {
-    let _span = pst_obs::Span::enter("lint");
     let canonical = canonicalize(graph, entry, options)?;
+    let report = lint_canonicalized(graph, &canonical, None, config);
+    Ok(GraphLint { report, canonical })
+}
+
+/// Lints a raw graph whose canonicalization `canonical` the caller
+/// already holds — the entry point behind [`lint_graph`], and the one a
+/// driver that keeps graph artifacts around (the serve daemon) calls.
+///
+/// `dod` is the graph's decisive order dependence computed with
+/// [`pst_controldep::DEFAULT_DOD_BUDGET`], if the caller has it; when
+/// `None`, `PST-C103` computes it.
+pub fn lint_canonicalized(
+    graph: &Graph,
+    canonical: &Canonicalized,
+    dod: Option<&Dod>,
+    config: &LintConfig,
+) -> LintReport {
+    let _span = pst_obs::Span::enter("lint");
     let mut sink = Sink::new(config);
     structural::irreducible_loops(&canonical.cfg, &mut sink);
     structural::multi_entry_loops(&canonical.cfg, &mut sink);
@@ -136,12 +171,9 @@ pub fn lint_graph(
     structural::infinite_regions(&canonical.report, &mut sink);
     let regions = ControlRegions::compute(&canonical.cfg);
     controldep::vacuous_branches(&canonical.cfg, &regions, None, &mut sink);
-    controldep::synthetic_termination_dependence(graph, &canonical, &mut sink);
-    controldep::order_dependent_pairs(graph, &mut sink);
-    Ok(GraphLint {
-        report: sink.into_report(),
-        canonical,
-    })
+    controldep::synthetic_termination_dependence(graph, canonical, &mut sink);
+    controldep::order_dependent_pairs(graph, dod, &mut sink);
+    sink.into_report()
 }
 
 /// Renders `graph` as DOT with the nodes and edges named by `report`'s

@@ -62,5 +62,7 @@ mod engine;
 mod structural;
 
 pub use diag::{find_rule, Diagnostic, LintConfig, LintReport, Rule, Severity, RULES};
-pub use engine::{dot_with_findings, lint_function, lint_graph, GraphLint};
+pub use engine::{
+    dot_with_findings, lint_canonicalized, lint_dataflow, lint_function, lint_graph, GraphLint,
+};
 pub use structural::ast_statement_count;

@@ -117,27 +117,32 @@ impl Dod {
             if comp.len() < 2 || branches.is_empty() {
                 continue;
             }
-            // Inevitability rows for every member: rows[i][x] holds
-            // when all maximal paths from x contain comp[i].
-            let mut rows: Vec<Vec<bool>> = Vec::with_capacity(comp.len());
-            for &w in comp {
+            // Inevitability rows for every member, over the branches:
+            // bit k of row i holds when every maximal path from branch
+            // k contains comp[i]. Packed 64 branches per word, so a
+            // pair's candidate branches are one AND per word.
+            let words = branches.len().div_ceil(64);
+            let mut rows: Vec<u64> = vec![0; comp.len() * words];
+            for (row, &w) in rows.chunks_exact_mut(words).zip(comp) {
                 if props_left == 0 {
                     complete = false;
                     break 'outer;
                 }
                 props_left -= 1;
                 inevitable_to_into(graph, w, None, &mut inevitable, &mut needed, &mut worklist);
-                rows.push(inevitable.clone());
+                for (k, (p, _)) in branches.iter().enumerate() {
+                    if inevitable[p.index()] {
+                        row[k / 64] |= 1 << (k % 64);
+                    }
+                }
             }
+            let row = |i: usize| &rows[i * words..(i + 1) * words];
             for i in 0..comp.len() {
                 for j in (i + 1)..comp.len() {
                     let (a, b) = (comp[i], comp[j]);
                     // Branches from which both a and b are inevitable.
-                    let mut cands = branches
-                        .iter()
-                        .filter(|(p, _)| rows[i][p.index()] && rows[j][p.index()])
-                        .peekable();
-                    if cands.peek().is_none() {
+                    let both = || row(i).iter().zip(row(j)).map(|(x, y)| x & y);
+                    if both().all(|w| w == 0) {
                         continue;
                     }
                     if props_left < 2 {
@@ -148,16 +153,20 @@ impl Dod {
                     pst_obs::counter!("dod_pairs_checked");
                     inevitable_to_into(graph, a, Some(b), &mut ord_ab, &mut needed, &mut worklist);
                     inevitable_to_into(graph, b, Some(a), &mut ord_ba, &mut needed, &mut worklist);
-                    for (p, succs) in cands {
-                        let a_first = succs.iter().any(|s| ord_ab[s.index()]);
-                        let b_first = succs.iter().any(|s| ord_ba[s.index()]);
-                        if a_first && b_first {
-                            pst_obs::counter!("dod_witnesses");
-                            witnesses.push(DodWitness {
-                                branch: *p,
-                                first: a,
-                                second: b,
-                            });
+                    for (wi, mut bits) in both().enumerate() {
+                        while bits != 0 {
+                            let (p, succs) = &branches[wi * 64 + bits.trailing_zeros() as usize];
+                            bits &= bits - 1;
+                            let a_first = succs.iter().any(|s| ord_ab[s.index()]);
+                            let b_first = succs.iter().any(|s| ord_ba[s.index()]);
+                            if a_first && b_first {
+                                pst_obs::counter!("dod_witnesses");
+                                witnesses.push(DodWitness {
+                                    branch: *p,
+                                    first: a,
+                                    second: b,
+                                });
+                            }
                         }
                     }
                 }
@@ -255,6 +264,34 @@ mod tests {
         let dod = Dod::compute(&g);
         assert!(dod.is_complete());
         assert!(dod.is_empty());
+    }
+
+    #[test]
+    fn branches_past_the_first_word_are_candidates_too() {
+        // A 2-cycle {0, 1} entered from 150 branches. Even-numbered
+        // branches enter it at both nodes, so each decides which of 0
+        // and 1 comes first; odd ones may leave for the sink 2 instead,
+        // so neither node is inevitable from them. The branches span
+        // three words of the packed candidate rows.
+        let k: usize = 150;
+        let mut edges = vec![(0, 1), (1, 0)];
+        for b in 0..k {
+            let p = 3 + b;
+            edges.push((p, 0));
+            edges.push((p, if b.is_multiple_of(2) { 1 } else { 2 }));
+        }
+        let (g, n) = graph(3 + k, &edges);
+        let dod = Dod::compute(&g);
+        assert!(dod.is_complete());
+        let expected: Vec<DodWitness> = (0..k)
+            .step_by(2)
+            .map(|b| DodWitness {
+                branch: n[3 + b],
+                first: n[0],
+                second: n[1],
+            })
+            .collect();
+        assert_eq!(dod.witnesses(), expected.as_slice());
     }
 
     #[test]

@@ -139,30 +139,34 @@ impl StrongControlDeps {
     pub fn of_cfg(cfg: &Cfg) -> StrongControlDeps {
         let _span = pst_obs::Span::enter("strong_controldep");
         let classic = Some(ClassicControlDeps::compute(cfg));
-        StrongControlDeps::build(cfg.graph(), classic, DEFAULT_DOD_BUDGET)
+        let dod = Dod::compute_budgeted(cfg.graph(), DEFAULT_DOD_BUDGET);
+        StrongControlDeps::build(cfg.graph(), classic, dod)
     }
 
     /// Builds the artifact for an arbitrary digraph (no exit, so no
     /// classic relation) — the form `pst fuzz` and graph lints use.
     pub fn of_graph(graph: &Graph) -> StrongControlDeps {
-        let _span = pst_obs::Span::enter("strong_controldep");
-        StrongControlDeps::build(graph, None, DEFAULT_DOD_BUDGET)
+        StrongControlDeps::of_graph_budgeted(graph, DEFAULT_DOD_BUDGET)
     }
 
     /// [`StrongControlDeps::of_graph`] with an explicit DOD work
     /// budget (see [`Dod::compute_budgeted`]).
     pub fn of_graph_budgeted(graph: &Graph, dod_budget: u64) -> StrongControlDeps {
         let _span = pst_obs::Span::enter("strong_controldep");
-        StrongControlDeps::build(graph, None, dod_budget)
+        let dod = Dod::compute_budgeted(graph, dod_budget);
+        StrongControlDeps::build(graph, None, dod)
     }
 
-    fn build(
-        graph: &Graph,
-        classic: Option<ClassicControlDeps>,
-        dod_budget: u64,
-    ) -> StrongControlDeps {
+    /// [`StrongControlDeps::of_graph`] around a DOD the caller already
+    /// computed for `graph` (a lint that ran first, say), so it is not
+    /// computed twice.
+    pub fn of_graph_with_dod(graph: &Graph, dod: Dod) -> StrongControlDeps {
+        let _span = pst_obs::Span::enter("strong_controldep");
+        StrongControlDeps::build(graph, None, dod)
+    }
+
+    fn build(graph: &Graph, classic: Option<ClassicControlDeps>, dod: Dod) -> StrongControlDeps {
         let ntscd = Ntscd::compute(graph);
-        let dod = Dod::compute_budgeted(graph, dod_budget);
         let regions = strong_regions(&ntscd);
         pst_obs::counter!("strong_regions_built");
         pst_obs::gauge!("strong_region_classes", regions.num_classes() as u64);

@@ -1,6 +1,26 @@
 //! A fixed-universe bit set for bit-vector data-flow analysis.
 
+use std::hash::{Hash, Hasher};
+
+/// Words kept inline: universes of up to `64 * INLINE_WORDS` facts need
+/// no heap allocation.
+const INLINE_WORDS: usize = 2;
+
+/// Storage of a [`BitSet`]. The variant is a function of the universe
+/// size alone, so two sets over one universe always share a variant.
+#[derive(Clone, Debug)]
+enum Words {
+    /// Universes of at most `64 * INLINE_WORDS` facts; words past the
+    /// universe stay zero.
+    Inline([u64; INLINE_WORDS]),
+    /// Larger universes, one word per 64 facts.
+    Heap(Vec<u64>),
+}
+
 /// A set over a fixed universe `0..len`, packed 64 facts per word.
+///
+/// Universes of up to 128 facts are stored inline, so the per-variable
+/// instances of sparse data-flow analysis allocate nothing per set.
 ///
 /// # Examples
 ///
@@ -15,38 +35,58 @@
 /// a.subtract(&b);
 /// assert_eq!(a.iter().collect::<Vec<_>>(), vec![0]);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Debug)]
 pub struct BitSet {
-    words: Vec<u64>,
+    words: Words,
     len: usize,
 }
 
 impl BitSet {
     /// Creates an empty set over the universe `0..len`.
     pub fn new(len: usize) -> Self {
-        BitSet {
-            words: vec![0; len.div_ceil(64)],
-            len,
-        }
+        let words = if len <= 64 * INLINE_WORDS {
+            Words::Inline([0; INLINE_WORDS])
+        } else {
+            Words::Heap(vec![0; len.div_ceil(64)])
+        };
+        BitSet { words, len }
     }
 
     /// Creates a full set over the universe `0..len`.
     pub fn full(len: usize) -> Self {
-        let mut s = BitSet {
-            words: vec![!0u64; len.div_ceil(64)],
-            len,
-        };
+        let mut s = BitSet::new(len);
+        s.words_mut().fill(!0u64);
         s.trim();
         s
     }
 
+    /// The words covering the universe.
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(w) => &w[..self.len.div_ceil(64)],
+            Words::Heap(w) => w,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline(w) => &mut w[..self.len.div_ceil(64)],
+            Words::Heap(w) => w,
+        }
+    }
+
     fn trim(&mut self) {
-        let extra = self.words.len() * 64 - self.len;
+        let extra = self.len.div_ceil(64) * 64 - self.len;
         if extra > 0 {
-            if let Some(last) = self.words.last_mut() {
+            if let Some(last) = self.words_mut().last_mut() {
                 *last &= !0u64 >> extra;
             }
         }
+    }
+
+    /// Removes every element.
+    pub(crate) fn clear(&mut self) {
+        self.words_mut().fill(0);
     }
 
     /// Universe size.
@@ -61,7 +101,7 @@ impl BitSet {
     /// Panics if `bit` is outside the universe.
     pub fn insert(&mut self, bit: usize) -> bool {
         assert!(bit < self.len, "bit {bit} outside universe {}", self.len);
-        let w = &mut self.words[bit / 64];
+        let w = &mut self.words_mut()[bit / 64];
         let mask = 1u64 << (bit % 64);
         let fresh = *w & mask == 0;
         *w |= mask;
@@ -71,29 +111,29 @@ impl BitSet {
     /// Removes `bit`.
     pub fn remove(&mut self, bit: usize) {
         assert!(bit < self.len);
-        self.words[bit / 64] &= !(1u64 << (bit % 64));
+        self.words_mut()[bit / 64] &= !(1u64 << (bit % 64));
     }
 
     /// Membership test.
     pub fn contains(&self, bit: usize) -> bool {
-        bit < self.len && self.words[bit / 64] & (1u64 << (bit % 64)) != 0
+        bit < self.len && self.words()[bit / 64] & (1u64 << (bit % 64)) != 0
     }
 
     /// Number of elements.
     pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words().iter().all(|&w| w == 0)
     }
 
     /// `self ∪= other`; returns whether `self` changed.
     pub fn union(&mut self, other: &BitSet) -> bool {
         debug_assert_eq!(self.len, other.len);
         let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             let new = *a | b;
             changed |= new != *a;
             *a = new;
@@ -105,7 +145,7 @@ impl BitSet {
     pub fn intersect(&mut self, other: &BitSet) -> bool {
         debug_assert_eq!(self.len, other.len);
         let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             let new = *a & b;
             changed |= new != *a;
             *a = new;
@@ -116,7 +156,7 @@ impl BitSet {
     /// `self ∖= other`.
     pub fn subtract(&mut self, other: &BitSet) {
         debug_assert_eq!(self.len, other.len);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             *a &= !b;
         }
     }
@@ -124,21 +164,29 @@ impl BitSet {
     /// Whether `self ⊇ other`.
     pub fn is_superset(&self, other: &BitSet) -> bool {
         debug_assert_eq!(self.len, other.len);
-        self.words
+        self.words()
             .iter()
-            .zip(&other.words)
+            .zip(other.words())
             .all(|(a, b)| a & b == *b)
     }
 
     /// Applies a gen/kill transfer: `self = gen ∪ (self ∖ kill)`.
     pub fn apply(&mut self, gen: &BitSet, kill: &BitSet) {
-        self.subtract(kill);
-        self.union(gen);
+        debug_assert_eq!(self.len, gen.len);
+        debug_assert_eq!(self.len, kill.len);
+        for ((a, g), k) in self
+            .words_mut()
+            .iter_mut()
+            .zip(gen.words())
+            .zip(kill.words())
+        {
+            *a = g | (*a & !k);
+        }
     }
 
     /// Iterates over the elements in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+        self.words().iter().enumerate().flat_map(|(wi, &w)| {
             let mut bits = w;
             std::iter::from_fn(move || {
                 if bits == 0 {
@@ -150,6 +198,40 @@ impl BitSet {
                 }
             })
         })
+    }
+}
+
+impl Clone for BitSet {
+    fn clone(&self) -> Self {
+        BitSet {
+            words: self.words.clone(),
+            len: self.len,
+        }
+    }
+
+    /// Reuses `self`'s heap buffer when both sets are heap-backed, so the
+    /// solvers can overwrite values without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        match (&mut self.words, &source.words) {
+            (Words::Heap(a), Words::Heap(b)) => a.clone_from(b),
+            (a, b) => *a = b.clone(),
+        }
+        self.len = source.len;
+    }
+}
+
+impl PartialEq for BitSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.words() == other.words()
+    }
+}
+
+impl Eq for BitSet {}
+
+impl Hash for BitSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.words().hash(state);
+        self.len.hash(state);
     }
 }
 

@@ -1,6 +1,6 @@
 //! The classical worklist (iterative) solver.
 
-use pst_cfg::{Cfg, Dfs, NodeId};
+use pst_cfg::{Cfg, NodeId};
 
 use crate::{Confluence, DataflowProblem, Flow, Solution};
 
@@ -28,70 +28,122 @@ pub fn solve_iterative(cfg: &Cfg, problem: &impl DataflowProblem) -> Solution {
     let _span = pst_obs::Span::enter("dataflow_iterative");
     let graph = cfg.graph();
     let n = graph.node_count();
-    type FlowPreds = fn(&pst_cfg::Graph, NodeId) -> Vec<NodeId>;
-    let (root, flow_preds): (NodeId, FlowPreds) =
-        match problem.flow() {
-            Flow::Forward => (cfg.entry(), |g, v| g.predecessors(v).collect()),
-            Flow::Backward => (cfg.exit(), |g, v| g.successors(v).collect()),
-        };
-
-    let mut inp: Vec<_> = (0..n).map(|_| problem.top()).collect();
-    let mut out: Vec<_> = (0..n).map(|_| problem.top()).collect();
-    inp[root.index()] = problem.boundary();
-    {
-        let mut v = problem.boundary();
-        problem.transfer(root).apply(&mut v);
-        out[root.index()] = v;
-    }
-
-    // Iteration order: reverse postorder in flow direction.
-    let order: Vec<NodeId> = match problem.flow() {
-        Flow::Forward => Dfs::new(graph, cfg.entry()).reverse_postorder(),
-        Flow::Backward => {
-            let mut o = Dfs::new(&graph.reversed(), cfg.exit()).reverse_postorder();
-            if o.len() != n {
-                // Defensive: a valid Cfg always reaches everything.
-                o = graph.nodes().collect();
-            }
-            o
+    let node = NodeId::from_index;
+    match problem.flow() {
+        Flow::Forward => {
+            let root = cfg.entry().index();
+            let order =
+                reverse_postorder(n, root, |v| graph.successors(node(v)).map(NodeId::index));
+            fixed_point(problem, root, &order, |v| {
+                graph.predecessors(node(v)).map(NodeId::index)
+            })
         }
-    };
+        Flow::Backward => {
+            let root = cfg.exit().index();
+            let order =
+                reverse_postorder(n, root, |v| graph.predecessors(node(v)).map(NodeId::index));
+            fixed_point(problem, root, &order, |v| {
+                graph.successors(node(v)).map(NodeId::index)
+            })
+        }
+    }
+}
 
+/// Reverse postorder of the nodes `0..n` reachable from `root`, following
+/// `next` in the order it yields (a recursive DFS's order). When some
+/// node is unreachable, all of `0..n` in index order instead, so that
+/// every node is still visited.
+pub(crate) fn reverse_postorder<I: Iterator<Item = usize>>(
+    n: usize,
+    root: usize,
+    next: impl Fn(usize) -> I,
+) -> Vec<usize> {
+    let mut seen = vec![false; n];
+    let mut post = Vec::with_capacity(n);
+    seen[root] = true;
+    let mut stack = vec![(root, next(root))];
+    while let Some((v, succs)) = stack.last_mut() {
+        match succs.next() {
+            Some(w) if !seen[w] => {
+                seen[w] = true;
+                stack.push((w, next(w)));
+            }
+            Some(_) => {}
+            None => {
+                post.push(*v);
+                stack.pop();
+            }
+        }
+    }
+    if post.len() != n {
+        return (0..n).collect();
+    }
+    post.reverse();
+    post
+}
+
+/// Round-robin iteration to the fixed point over nodes `0..order.len()`:
+/// `root` holds the boundary value, `flow_preds(v)` lists the nodes whose
+/// `out` meets into `v`'s `in`. One scratch set carries every meet, and
+/// values are overwritten in place, so a visit allocates nothing.
+pub(crate) fn fixed_point<P, I>(
+    problem: &P,
+    root: usize,
+    order: &[usize],
+    flow_preds: impl Fn(usize) -> I,
+) -> Solution
+where
+    P: DataflowProblem,
+    I: Iterator<Item = usize>,
+{
+    let n = order.len();
+    let top = problem.top();
+    let mut inp = vec![top.clone(); n];
+    let mut out = vec![top.clone(); n];
+    inp[root] = problem.boundary();
+    out[root] = problem.boundary();
+    problem
+        .transfer(NodeId::from_index(root))
+        .apply(&mut out[root]);
+
+    let confluence = problem.confluence();
+    let mut meet = top.clone();
+    let mut visits = 0u64;
     let mut changed = true;
     while changed {
         changed = false;
-        for &node in &order {
+        for &node in order {
             if node == root {
                 continue;
             }
-            pst_obs::counter!("dataflow_node_visits");
-            let preds = flow_preds(graph, node);
-            let mut meet = match problem.confluence() {
+            visits += 1;
+            match confluence {
                 Confluence::Union => {
-                    let mut m = crate::BitSet::new(problem.universe());
-                    for p in &preds {
-                        m.union(&out[p.index()]);
+                    meet.clear();
+                    for p in flow_preds(node) {
+                        meet.union(&out[p]);
                     }
-                    m
                 }
                 Confluence::Intersection => {
-                    let mut m = problem.top();
-                    for p in &preds {
-                        m.intersect(&out[p.index()]);
+                    meet.clone_from(&top);
+                    for p in flow_preds(node) {
+                        meet.intersect(&out[p]);
                     }
-                    m
                 }
-            };
-            if meet != inp[node.index()] {
-                inp[node.index()] = meet.clone();
+            }
+            if meet != inp[node] {
+                inp[node].clone_from(&meet);
                 changed = true;
             }
-            problem.transfer(node).apply(&mut meet);
-            if meet != out[node.index()] {
-                out[node.index()] = meet;
+            problem.transfer(NodeId::from_index(node)).apply(&mut meet);
+            if meet != out[node] {
+                out[node].clone_from(&meet);
                 changed = true;
             }
         }
+    }
+    if visits > 0 {
+        pst_obs::counter!("dataflow_node_visits", visits);
     }
     Solution { inp, out }
 }

@@ -25,16 +25,49 @@ pub struct DefSite {
     pub var: VarId,
 }
 
+/// Per-node transfer functions of a problem in which most nodes have the
+/// identity transfer: one shared identity plus one function per
+/// non-identity node, found through a per-node slot.
+#[derive(Clone, Debug)]
+struct SparseTransfers {
+    identity: GenKill,
+    /// Index into `transfers` per node; out of range for the identity.
+    slot: Vec<u32>,
+    transfers: Vec<GenKill>,
+}
+
+impl SparseTransfers {
+    fn new(universe: usize, nodes: usize) -> Self {
+        SparseTransfers {
+            identity: GenKill::identity(universe),
+            slot: vec![u32::MAX; nodes],
+            transfers: Vec::new(),
+        }
+    }
+
+    fn set(&mut self, node: NodeId, transfer: GenKill) {
+        self.slot[node.index()] = self.transfers.len() as u32;
+        self.transfers.push(transfer);
+    }
+
+    fn get(&self, node: NodeId) -> &GenKill {
+        self.transfers
+            .get(self.slot[node.index()] as usize)
+            .unwrap_or(&self.identity)
+    }
+}
+
 /// Classic reaching definitions.
 #[derive(Clone, Debug)]
 pub struct ReachingDefinitions {
     sites: Vec<DefSite>,
-    transfers: Vec<GenKill>,
+    transfers: SparseTransfers,
 }
 
 impl ReachingDefinitions {
     /// Builds the problem for `function`: enumerates definition sites and
-    /// per-block gen/kill sets.
+    /// the gen/kill sets of the blocks holding them. Blocks without a
+    /// definition share one identity transfer.
     pub fn new(function: &LoweredFunction) -> Self {
         let mut sites = Vec::new();
         for node in function.cfg.graph().nodes() {
@@ -52,30 +85,25 @@ impl ReachingDefinitions {
         for (i, s) in sites.iter().enumerate() {
             var_sites[s.var.index()].insert(i);
         }
-        let transfers = function
-            .cfg
-            .graph()
-            .nodes()
-            .map(|node| {
-                let mut gen = BitSet::new(universe);
-                let mut kill = BitSet::new(universe);
-                // Process this block's definitions in statement order: a
-                // later def of the same variable shadows an earlier one.
-                for (i, site) in sites.iter().enumerate() {
-                    if site.node != node {
-                        continue;
-                    }
-                    let same_var = &var_sites[site.var.index()];
-                    kill.union(same_var);
-                    gen.subtract(same_var);
-                    gen.insert(i);
-                }
-                // A def surviving the block is not killed by the block.
-                let mut k = kill;
-                k.subtract(&gen);
-                GenKill { gen, kill: k }
-            })
-            .collect();
+        let mut transfers = SparseTransfers::new(universe, function.cfg.node_count());
+        // `sites` is in node order, so each block's definitions are one run.
+        let mut first = 0;
+        for block in sites.chunk_by(|a, b| a.node == b.node) {
+            let mut gen = BitSet::new(universe);
+            let mut kill = BitSet::new(universe);
+            // Statement order: a later def of the same variable shadows an
+            // earlier one.
+            for (i, site) in block.iter().enumerate() {
+                let same_var = &var_sites[site.var.index()];
+                kill.union(same_var);
+                gen.subtract(same_var);
+                gen.insert(first + i);
+            }
+            // A def surviving the block is not killed by the block.
+            kill.subtract(&gen);
+            transfers.set(block[0].node, GenKill { gen, kill });
+            first += block.len();
+        }
         ReachingDefinitions { sites, transfers }
     }
 
@@ -108,7 +136,7 @@ impl DataflowProblem for ReachingDefinitions {
         BitSet::new(self.sites.len())
     }
     fn transfer(&self, node: NodeId) -> &GenKill {
-        &self.transfers[node.index()]
+        self.transfers.get(node)
     }
 }
 
@@ -245,35 +273,23 @@ impl DataflowProblem for DefiniteAssignment {
 pub struct SingleVariableReachingDefs {
     /// Definition blocks of the variable, in fact order.
     sites: Vec<NodeId>,
-    transfers: Vec<GenKill>,
+    transfers: SparseTransfers,
 }
 
 impl SingleVariableReachingDefs {
-    /// Builds the instance for `var`.
+    /// Builds the instance for `var`: one transfer per definition block,
+    /// every other block shares the identity.
     pub fn new(function: &LoweredFunction, var: VarId) -> Self {
         let sites = function.definition_sites(var);
         let universe = sites.len();
-        let transfers = function
-            .cfg
-            .graph()
-            .nodes()
-            .map(|node| {
-                if let Some(pos) = sites.iter().position(|&s| s == node) {
-                    let mut gen = BitSet::new(universe);
-                    gen.insert(pos);
-                    GenKill {
-                        gen,
-                        kill: {
-                            let mut k = BitSet::full(universe);
-                            k.remove(pos);
-                            k
-                        },
-                    }
-                } else {
-                    GenKill::identity(universe)
-                }
-            })
-            .collect();
+        let mut transfers = SparseTransfers::new(universe, function.cfg.node_count());
+        for (pos, &node) in sites.iter().enumerate() {
+            let mut gen = BitSet::new(universe);
+            gen.insert(pos);
+            let mut kill = BitSet::full(universe);
+            kill.remove(pos);
+            transfers.set(node, GenKill { gen, kill });
+        }
         SingleVariableReachingDefs { sites, transfers }
     }
 
@@ -297,7 +313,7 @@ impl DataflowProblem for SingleVariableReachingDefs {
         BitSet::new(self.sites.len())
     }
     fn transfer(&self, node: NodeId) -> &GenKill {
-        &self.transfers[node.index()]
+        self.transfers.get(node)
     }
 }
 

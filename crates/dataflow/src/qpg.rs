@@ -6,16 +6,14 @@
 //! cannot change the solution: all flow enters through the single entry
 //! edge and leaves through the single exit edge unchanged. The QPG keeps
 //! only the nodes outside maximal transparent regions and replaces each
-//! bypassed stretch with a single edge labelled by its `(first, last)` CFG
-//! edge pair; the paper reports QPGs averaging under 10 % of the
-//! statement-level CFG.
+//! bypassed stretch with a single edge; the paper reports QPGs averaging
+//! under 10 % of the statement-level CFG.
 
-use std::collections::HashMap;
-
-use pst_cfg::{Cfg, EdgeId, Graph, NodeId, ValidateCfgError};
+use pst_cfg::{Cfg, EdgeId, NodeId, ValidateCfgError};
 use pst_core::{ProgramStructureTree, RegionId};
 
-use crate::{solve_iterative, Confluence, DataflowProblem, Flow, GenKill, Solution};
+use crate::iterative::{fixed_point, reverse_postorder};
+use crate::{BitSet, Confluence, DataflowProblem, Flow, GenKill, Solution};
 
 /// Why QPG construction or solving failed.
 ///
@@ -31,7 +29,8 @@ pub enum QpgError {
     /// Traversal bookkeeping lost a node it should have kept (e.g. the
     /// CFG exit resolved to no QPG node).
     DetachedNode(NodeId),
-    /// The bypassed graph failed CFG validation.
+    /// The bypassed graph failed CFG validation; node ids are the CFG
+    /// nodes the offending QPG nodes stand for.
     InvalidQpg(ValidateCfgError),
 }
 
@@ -51,7 +50,13 @@ impl std::fmt::Display for QpgError {
 
 impl std::error::Error for QpgError {}
 
-/// A quick propagation graph for one problem instance.
+/// No QPG node yet (`qpg_of`) during traversal.
+const NONE: u32 = u32::MAX;
+
+/// A quick propagation graph for one problem instance, in flat arrays:
+/// QPG node `q` stands for CFG node `cfg_of[q]`, and its successors and
+/// predecessors are slices of two adjacency arrays. Construction
+/// validates it as a CFG once; solving reads it in place.
 ///
 /// # Examples
 ///
@@ -76,18 +81,19 @@ impl std::error::Error for QpgError {}
 /// ```
 #[derive(Clone, Debug)]
 pub struct Qpg {
-    graph: Graph,
-    entry: NodeId,
-    exit: NodeId,
-    /// QPG node → CFG node.
+    /// QPG node → CFG node; node 0 is the entry.
     cfg_of: Vec<NodeId>,
-    /// CFG node → QPG node (None for bypassed nodes).
-    qpg_of: Vec<Option<NodeId>>,
-    /// QPG edge → `(first, last)` CFG edge of the stretch it stands for.
-    edge_span: Vec<(EdgeId, EdgeId)>,
+    exit: usize,
+    /// `succ[succ_start[q]..succ_start[q + 1]]`: successors of `q`, in
+    /// the order of the CFG out-edges they come from.
+    succ_start: Vec<u32>,
+    succ: Vec<u32>,
+    /// Predecessors, laid out the same way, in edge-creation order.
+    pred_start: Vec<u32>,
+    pred: Vec<u32>,
     /// Bypassed maximal regions with the QPG nodes delimiting them:
-    /// `(region, cfg source node, cfg target node)`.
-    bypassed: Vec<(RegionId, NodeId, NodeId)>,
+    /// `(region, source, target)`.
+    bypassed: Vec<(RegionId, u32, u32)>,
 }
 
 impl Qpg {
@@ -97,249 +103,134 @@ impl Qpg {
         pst: &ProgramStructureTree,
         problem: &impl DataflowProblem,
     ) -> Result<Self, QpgError> {
-        Self::build_from_transparency(cfg, pst, &|n| problem.is_transparent(n))
-    }
-
-    /// [`build`](Self::build) for hot paths that have already validated
-    /// the CFG/PST pair (benchmarks, the pipeline tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics where `build` would return an error.
-    pub fn build_unchecked(
-        cfg: &Cfg,
-        pst: &ProgramStructureTree,
-        problem: &impl DataflowProblem,
-    ) -> Self {
-        Self::build(cfg, pst, problem).expect("CFG/PST pair is consistent")
-    }
-
-    /// Builds the QPG from an arbitrary transparency predicate.
-    pub fn build_from_transparency(
-        cfg: &Cfg,
-        pst: &ProgramStructureTree,
-        transparent: &dyn Fn(NodeId) -> bool,
-    ) -> Result<Self, QpgError> {
-        let _span = pst_obs::Span::enter("qpg_build");
-        let graph = cfg.graph();
-        // Mark regions containing a non-transparent node (leaf-up).
-        let mut marked = vec![false; pst.region_count()];
-        for n in graph.nodes() {
-            if !transparent(n) {
-                let mut r = Some(pst.region_of_node(n));
-                while let Some(region) = r {
-                    if marked[region.index()] {
-                        break;
-                    }
-                    marked[region.index()] = true;
-                    r = pst.parent(region);
-                }
-            }
-        }
-        // Region entered by each edge, if any.
-        let mut region_by_entry: HashMap<EdgeId, RegionId> = HashMap::new();
-        let mut exit_by_region: Vec<Option<EdgeId>> = vec![None; pst.region_count()];
-        for r in pst.regions().skip(1) {
-            let b = pst.bounds(r).ok_or(QpgError::MissingRegionBounds(r))?;
-            region_by_entry.insert(b.entry, r);
-            exit_by_region[r.index()] = Some(b.exit);
-        }
-        Self::traverse(
-            cfg,
-            &marked,
-            |e| region_by_entry.get(&e).copied(),
-            |r| exit_by_region[r.index()].ok_or(QpgError::MissingRegionBounds(r)),
-        )
-    }
-
-    /// Core traversal: skips maximal unmarked regions.
-    fn traverse(
-        cfg: &Cfg,
-        marked: &[bool],
-        region_entered: impl Fn(EdgeId) -> Option<RegionId>,
-        exit_edge: impl Fn(RegionId) -> Result<EdgeId, QpgError>,
-    ) -> Result<Self, QpgError> {
-        let graph = cfg.graph();
-        let mut qpg_graph = Graph::new();
-        let mut cfg_of: Vec<NodeId> = Vec::new();
-        let mut qpg_of: Vec<Option<NodeId>> = vec![None; graph.node_count()];
-        let mut edge_span: Vec<(EdgeId, EdgeId)> = Vec::new();
-        let mut bypassed: Vec<(RegionId, NodeId, NodeId)> = Vec::new();
-
-        let keep = |n: NodeId,
-                    qpg_graph: &mut Graph,
-                    cfg_of: &mut Vec<NodeId>,
-                    qpg_of: &mut Vec<Option<NodeId>>| {
-            if let Some(q) = qpg_of[n.index()] {
-                (q, false)
-            } else {
-                let q = qpg_graph.add_node();
-                cfg_of.push(n);
-                qpg_of[n.index()] = Some(q);
-                (q, true)
-            }
-        };
-
-        let (entry_q, _) = keep(cfg.entry(), &mut qpg_graph, &mut cfg_of, &mut qpg_of);
-        let mut work = vec![cfg.entry()];
-        while let Some(u) = work.pop() {
-            let uq = qpg_of[u.index()].ok_or(QpgError::DetachedNode(u))?;
-            for &e in graph.out_edges(u) {
-                let mut last = e;
-                let mut hops: Vec<RegionId> = Vec::new();
-                while let Some(r) = region_entered(last) {
-                    if marked[r.index()] {
-                        break;
-                    }
-                    hops.push(r);
-                    last = exit_edge(r)?;
-                }
-                let target = graph.target(last);
-                let (tq, fresh) = keep(target, &mut qpg_graph, &mut cfg_of, &mut qpg_of);
-                qpg_graph.add_edge(uq, tq);
-                edge_span.push((e, last));
-                for r in hops {
-                    bypassed.push((r, u, target));
-                }
-                if fresh {
-                    work.push(target);
-                }
-            }
-        }
-
-        let exit_q = qpg_of[cfg.exit().index()].ok_or(QpgError::DetachedNode(cfg.exit()))?;
-        Ok(Qpg {
-            graph: qpg_graph,
-            entry: entry_q,
-            exit: exit_q,
-            cfg_of,
-            qpg_of,
-            edge_span,
-            bypassed,
-        })
+        let sites: Vec<NodeId> = cfg
+            .graph()
+            .nodes()
+            .filter(|&n| !problem.is_transparent(n))
+            .collect();
+        QpgContext::new(cfg, pst)?.build_from_sites(&sites)
     }
 
     /// Number of QPG nodes.
     pub fn node_count(&self) -> usize {
-        self.graph.node_count()
+        self.cfg_of.len()
     }
 
     /// Number of QPG edges.
     pub fn edge_count(&self) -> usize {
-        self.graph.edge_count()
-    }
-
-    /// QPG size relative to the block-level CFG node count.
-    pub fn node_ratio(&self, cfg: &Cfg) -> f64 {
-        self.node_count() as f64 / cfg.node_count() as f64
-    }
-
-    /// The CFG node a QPG node stands for.
-    pub fn cfg_node(&self, q: NodeId) -> NodeId {
-        self.cfg_of[q.index()]
-    }
-
-    /// The QPG node of a kept CFG node.
-    pub fn qpg_node(&self, n: NodeId) -> Option<NodeId> {
-        self.qpg_of[n.index()]
-    }
-
-    /// The `(first, last)` CFG edges a QPG edge spans.
-    pub fn span(&self, e: EdgeId) -> (EdgeId, EdgeId) {
-        self.edge_span[e.index()]
-    }
-
-    /// The maximal transparent regions that were bypassed.
-    pub fn bypassed_regions(&self) -> impl Iterator<Item = RegionId> + '_ {
-        self.bypassed.iter().map(|&(r, _, _)| r)
+        self.succ.len()
     }
 
     /// Solves `problem` on the QPG and projects the solution back onto the
     /// full CFG (paper §6.2, step 4). `pst` must be the tree the QPG was
-    /// built from.
+    /// built from. Drivers solving many instances over one CFG use
+    /// [`QpgContext::solve`], which skips rebuilding the region layout.
     ///
-    /// The result equals [`solve_iterative`] on the full graph; the
-    /// property tests assert this.
+    /// The result equals [`solve_iterative`](crate::solve_iterative) on
+    /// the full graph; the property tests assert this.
     pub fn solve<P: DataflowProblem>(
         &self,
         cfg: &Cfg,
         pst: &ProgramStructureTree,
         problem: &P,
     ) -> Result<Solution, QpgError> {
-        self.solve_with(cfg, problem, &|r| pst.all_nodes(r))
+        QpgContext::new(cfg, pst)?.solve(self, problem)
     }
 
-    /// [`solve`](Self::solve) for hot paths that have already validated
-    /// the CFG/PST pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics where `solve` would return an error.
-    pub fn solve_unchecked<P: DataflowProblem>(
-        &self,
-        cfg: &Cfg,
-        pst: &ProgramStructureTree,
-        problem: &P,
-    ) -> Solution {
-        self.solve(cfg, pst, problem)
-            .expect("CFG/PST pair is consistent")
+    fn succs(&self, q: usize) -> impl Iterator<Item = usize> + '_ {
+        let (a, b) = (self.succ_start[q] as usize, self.succ_start[q + 1] as usize);
+        self.succ[a..b].iter().map(|&s| s as usize)
     }
 
-    /// Solve with a caller-supplied region-membership provider (used by
-    /// [`QpgContext`] to avoid recomputing node lists per instance).
-    fn solve_with<P: DataflowProblem>(
-        &self,
-        cfg: &Cfg,
-        problem: &P,
-        region_nodes: &dyn Fn(RegionId) -> Vec<NodeId>,
-    ) -> Result<Solution, QpgError> {
-        // Solve on the QPG viewed as a CFG of its own.
-        let qpg_cfg = Cfg::from_graph(self.graph.clone(), self.entry, self.exit)
-            .map_err(QpgError::InvalidQpg)?;
+    fn preds(&self, q: usize) -> impl Iterator<Item = usize> + '_ {
+        let (a, b) = (self.pred_start[q] as usize, self.pred_start[q + 1] as usize);
+        self.pred[a..b].iter().map(|&p| p as usize)
+    }
+
+    /// Solves `problem` over the QPG's own nodes, in the flow direction's
+    /// reverse postorder.
+    fn solve_sparse<P: DataflowProblem>(&self, problem: &P) -> Solution {
+        let _span = pst_obs::Span::enter("dataflow_iterative");
         let wrapper = QpgProblem {
             inner: problem,
             cfg_of: &self.cfg_of,
         };
-        let qsol = solve_iterative(&qpg_cfg, &wrapper);
-
-        // Project back.
-        let n = cfg.node_count();
-        let mut inp: Vec<_> = (0..n).map(|_| problem.top()).collect();
-        let mut out: Vec<_> = (0..n).map(|_| problem.top()).collect();
-        for (qi, &cn) in self.cfg_of.iter().enumerate() {
-            inp[cn.index()] = qsol.inp[qi].clone();
-            out[cn.index()] = qsol.out[qi].clone();
-        }
-        // Nodes inside a bypassed region all carry the value of the
-        // stretch that jumped over them.
-        for &(region, src, dst) in &self.bypassed {
-            let value = match problem.flow() {
-                Flow::Forward => {
-                    let q = self.qpg_of[src.index()].ok_or(QpgError::DetachedNode(src))?;
-                    qsol.out[q.index()].clone()
-                }
-                Flow::Backward => {
-                    let q = self.qpg_of[dst.index()].ok_or(QpgError::DetachedNode(dst))?;
-                    qsol.inp[q.index()].clone()
-                }
-            };
-            for node in region_nodes(region) {
-                inp[node.index()] = value.clone();
-                out[node.index()] = value.clone();
+        let m = self.node_count();
+        match problem.flow() {
+            Flow::Forward => {
+                let order = reverse_postorder(m, 0, |q| self.succs(q));
+                fixed_point(&wrapper, 0, &order, |q| self.preds(q))
+            }
+            Flow::Backward => {
+                let order = reverse_postorder(m, self.exit, |q| self.preds(q));
+                fixed_point(&wrapper, self.exit, &order, |q| self.succs(q))
             }
         }
-        Ok(Solution { inp, out })
+    }
+
+    /// The CFG validation the QPG must pass: the entry has no
+    /// predecessor, the exit no successor, and every node reaches the
+    /// exit. (Every node is reachable from the entry by construction.)
+    fn validate(&self) -> Result<(), ValidateCfgError> {
+        if self.preds(0).next().is_some() {
+            return Err(ValidateCfgError::EntryHasPredecessor(self.cfg_of[0]));
+        }
+        if self.succs(self.exit).next().is_some() {
+            return Err(ValidateCfgError::ExitHasSuccessor(self.cfg_of[self.exit]));
+        }
+        let mut reaches = vec![false; self.node_count()];
+        reaches[self.exit] = true;
+        let mut stack = vec![self.exit];
+        while let Some(q) = stack.pop() {
+            for p in self.preds(q) {
+                if !reaches[p] {
+                    reaches[p] = true;
+                    stack.push(p);
+                }
+            }
+        }
+        match reaches.iter().position(|&r| !r) {
+            Some(q) => Err(ValidateCfgError::CannotReachExit(self.cfg_of[q])),
+            None => Ok(()),
+        }
     }
 }
 
-/// Amortized state for building and solving many QPGs over one CFG/PST
+/// `(start, list)` adjacency of nodes `0..m`: `list[start[v]..start[v+1]]`
+/// holds the `value`s of the edges whose `key` is `v`, in edge order.
+fn adjacency(
+    m: usize,
+    edges: &[(u32, u32)],
+    key: fn(&(u32, u32)) -> (u32, u32),
+) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; m + 1];
+    for e in edges {
+        start[key(e).0 as usize + 1] += 1;
+    }
+    for v in 0..m {
+        start[v + 1] += start[v];
+    }
+    let mut fill = start.clone();
+    let mut list = vec![0u32; edges.len()];
+    for e in edges {
+        let (k, value) = key(e);
+        list[fill[k as usize] as usize] = value;
+        fill[k as usize] += 1;
+    }
+    (start, list)
+}
+
+/// Shared state for building and solving many QPGs over one CFG/PST
 /// pair — the per-variable workload of the paper's §6.2 evaluation.
 ///
-/// Holds the entry-edge → region map and per-region node lists so that a
-/// single-variable instance costs time proportional to the QPG, not to the
-/// whole CFG (the paper: "the marking step can be done in time
-/// proportional to the number of marked regions if we know the location of
-/// the non-identity transfer functions").
+/// Holds the entry-edge → region map, the exit edge per region, and the
+/// CFG nodes laid out in PST preorder (each region's own nodes, then its
+/// children's), so that every region's nodes at any depth are one slice
+/// of a single array: `O(N)` time and memory. A single-variable instance
+/// then costs `O(sites + QPG)` to mark and traverse plus one dense
+/// projection that copies from those slices (the paper: "the marking
+/// step can be done in time proportional to the number of marked regions
+/// if we know the location of the non-identity transfer functions").
 #[derive(Clone, Debug)]
 pub struct QpgContext<'a> {
     cfg: &'a Cfg,
@@ -348,12 +239,14 @@ pub struct QpgContext<'a> {
     region_by_entry: Vec<Option<RegionId>>,
     /// Exit edge per canonical region (`None` for the root).
     exit_by_region: Vec<Option<EdgeId>>,
-    /// All nodes (at any depth) per region.
-    all_nodes: Vec<Vec<NodeId>>,
+    /// CFG nodes in PST preorder.
+    layout: Vec<NodeId>,
+    /// Per region, the `layout` range of its nodes at any depth.
+    span: Vec<(u32, u32)>,
 }
 
 impl<'a> QpgContext<'a> {
-    /// Precomputes the shared lookup tables.
+    /// Precomputes the shared lookup tables and the node layout.
     pub fn new(cfg: &'a Cfg, pst: &'a ProgramStructureTree) -> Result<Self, QpgError> {
         let mut region_by_entry = vec![None; cfg.edge_count()];
         let mut exit_by_region = vec![None; pst.region_count()];
@@ -362,30 +255,67 @@ impl<'a> QpgContext<'a> {
             region_by_entry[b.entry.index()] = Some(r);
             exit_by_region[r.index()] = Some(b.exit);
         }
-        // Per-region node lists, accumulated bottom-up.
-        let mut all_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); pst.region_count()];
+
+        let regions = pst.region_count();
+        let mut own = vec![0u32; regions];
         for n in cfg.graph().nodes() {
-            all_nodes[pst.region_of_node(n).index()].push(n);
+            own[pst.region_of_node(n).index()] += 1;
         }
-        let mut order: Vec<RegionId> = pst.regions().collect();
-        order.sort_by_key(|&r| std::cmp::Reverse(pst.depth(r)));
-        for r in order {
+        let mut preorder = Vec::with_capacity(regions);
+        let mut stack = vec![pst.root()];
+        while let Some(r) = stack.pop() {
+            preorder.push(r);
+            stack.extend(pst.children(r).iter().rev());
+        }
+        // Nodes at any depth, then each region's first slot: a child's
+        // range follows its parent's own nodes and its earlier siblings.
+        let mut total = own.clone();
+        for &r in preorder.iter().rev() {
             if let Some(p) = pst.parent(r) {
-                let mine = all_nodes[r.index()].clone();
-                all_nodes[p.index()].extend(mine);
+                total[p.index()] += total[r.index()];
             }
+        }
+        let mut span = vec![(0u32, 0u32); regions];
+        let mut next_child = vec![0u32; regions];
+        for &r in &preorder {
+            let start = match pst.parent(r) {
+                Some(p) => {
+                    let s = next_child[p.index()];
+                    next_child[p.index()] += total[r.index()];
+                    s
+                }
+                None => 0,
+            };
+            span[r.index()] = (start, start + total[r.index()]);
+            next_child[r.index()] = start + own[r.index()];
+        }
+        let mut fill: Vec<u32> = span.iter().map(|&(start, _)| start).collect();
+        let mut layout = vec![cfg.entry(); cfg.node_count()];
+        for n in cfg.graph().nodes() {
+            let slot = &mut fill[pst.region_of_node(n).index()];
+            layout[*slot as usize] = n;
+            *slot += 1;
         }
         Ok(QpgContext {
             cfg,
             pst,
             region_by_entry,
             exit_by_region,
-            all_nodes,
+            layout,
+            span,
         })
     }
 
+    /// The CFG nodes of `region` at any depth: a slice of the one node
+    /// array, in PST preorder (the root's slice holds every CFG node
+    /// once).
+    pub fn region_nodes(&self, region: RegionId) -> &[NodeId] {
+        let (start, end) = self.span[region.index()];
+        &self.layout[start as usize..end as usize]
+    }
+
     /// Builds the QPG for an instance whose non-transparent nodes are
-    /// exactly `sites`.
+    /// exactly `sites`, and validates it as a CFG.
     pub fn build_from_sites(&self, sites: &[NodeId]) -> Result<Qpg, QpgError> {
         let _span = pst_obs::Span::enter("qpg_build");
         let mut marked = vec![false; self.pst.region_count()];
@@ -399,28 +329,100 @@ impl<'a> QpgContext<'a> {
                 r = self.pst.parent(region);
             }
         }
-        Qpg::traverse(
-            self.cfg,
-            &marked,
-            |e| self.region_by_entry[e.index()],
-            |r| self.exit_by_region[r.index()].ok_or(QpgError::MissingRegionBounds(r)),
-        )
+        self.traverse(&marked)
     }
 
-    /// Solves `problem` on `qpg` and projects back, using the cached
-    /// region-node lists.
-    pub fn solve<P: DataflowProblem>(
-        &self,
-        qpg: &Qpg,
-        problem: &P,
-    ) -> Result<Solution, QpgError> {
+    /// Walks the CFG from its entry, jumping over maximal unmarked
+    /// regions.
+    fn traverse(&self, marked: &[bool]) -> Result<Qpg, QpgError> {
+        let graph = self.cfg.graph();
+        let mut qpg_of = vec![NONE; graph.node_count()];
+        let mut cfg_of = vec![self.cfg.entry()];
+        qpg_of[self.cfg.entry().index()] = 0;
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut bypassed: Vec<(RegionId, u32, u32)> = Vec::new();
+        let mut work = vec![self.cfg.entry()];
+        while let Some(u) = work.pop() {
+            let uq = qpg_of[u.index()];
+            for &e in graph.out_edges(u) {
+                let mut last = e;
+                let hops = bypassed.len();
+                while let Some(r) = self.region_by_entry[last.index()] {
+                    if marked[r.index()] {
+                        break;
+                    }
+                    bypassed.push((r, uq, NONE));
+                    last =
+                        self.exit_by_region[r.index()].ok_or(QpgError::MissingRegionBounds(r))?;
+                }
+                let target = graph.target(last);
+                if qpg_of[target.index()] == NONE {
+                    qpg_of[target.index()] = cfg_of.len() as u32;
+                    cfg_of.push(target);
+                    work.push(target);
+                }
+                let tq = qpg_of[target.index()];
+                for hop in &mut bypassed[hops..] {
+                    hop.2 = tq;
+                }
+                edges.push((uq, tq));
+            }
+        }
+
+        let exit = qpg_of[self.cfg.exit().index()];
+        if exit == NONE {
+            return Err(QpgError::DetachedNode(self.cfg.exit()));
+        }
+        let m = cfg_of.len();
+        let (succ_start, succ) = adjacency(m, &edges, |&(s, t)| (s, t));
+        let (pred_start, pred) = adjacency(m, &edges, |&(s, t)| (t, s));
+        let qpg = Qpg {
+            cfg_of,
+            exit: exit as usize,
+            succ_start,
+            succ,
+            pred_start,
+            pred,
+            bypassed,
+        };
+        qpg.validate().map_err(QpgError::InvalidQpg)?;
+        Ok(qpg)
+    }
+
+    /// Solves `problem` on `qpg` and projects the solution onto every CFG
+    /// node: kept nodes take their QPG values, and the nodes of a
+    /// bypassed region, copied from the region's layout slice, all carry
+    /// the value of the edge that jumped over them.
+    pub fn solve<P: DataflowProblem>(&self, qpg: &Qpg, problem: &P) -> Result<Solution, QpgError> {
         let _span = pst_obs::Span::enter("qpg_solve");
-        qpg.solve_with(self.cfg, problem, &|r: RegionId| {
-            self.all_nodes[r.index()].clone()
-        })
+        let sparse = qpg.solve_sparse(problem);
+        // Every CFG node is either kept or inside exactly one bypassed
+        // region, so each slot is written once; the empty placeholders
+        // in between cost no allocation.
+        let n = self.cfg.node_count();
+        let mut inp = vec![BitSet::new(0); n];
+        let mut out = vec![BitSet::new(0); n];
+        for &(region, source, target) in &qpg.bypassed {
+            let value = match problem.flow() {
+                Flow::Forward => &sparse.out[source as usize],
+                Flow::Backward => &sparse.inp[target as usize],
+            };
+            for &node in self.region_nodes(region) {
+                inp[node.index()] = value.clone();
+                out[node.index()] = value.clone();
+            }
+        }
+        let kept = sparse.inp.into_iter().zip(sparse.out);
+        for (&node, (value_in, value_out)) in qpg.cfg_of.iter().zip(kept) {
+            inp[node.index()] = value_in;
+            out[node.index()] = value_out;
+        }
+        debug_assert!(inp.iter().all(|v| v.universe() == problem.universe()));
+        Ok(Solution { inp, out })
     }
 }
 
+/// `problem` seen through the QPG's node numbering.
 struct QpgProblem<'p, P: DataflowProblem> {
     inner: &'p P,
     cfg_of: &'p [NodeId],
@@ -436,7 +438,7 @@ impl<P: DataflowProblem> DataflowProblem for QpgProblem<'_, P> {
     fn universe(&self) -> usize {
         self.inner.universe()
     }
-    fn boundary(&self) -> crate::BitSet {
+    fn boundary(&self) -> BitSet {
         self.inner.boundary()
     }
     fn transfer(&self, node: NodeId) -> &GenKill {

@@ -24,6 +24,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use pst_cfg::{canonicalize, parse_edge_list_graph, CanonicalizeOptions, Canonicalized, Graph, NodeId};
+use pst_controldep::{Dod, StrongControlDeps, DEFAULT_DOD_BUDGET};
 use pst_core::{collapse_all, ControlRegions, ProgramStructureTree, PstStats};
 use pst_dataflow::{solve_iterative, QpgContext, SingleVariableReachingDefs};
 use pst_lang::{lower_program, parse_program, LoweredFunction, VarId};
@@ -196,15 +197,44 @@ impl FnArtifacts {
 /// An edge-list unit: the raw digraph plus its Definition-1 repair.
 struct EdgeArtifacts {
     graph: Graph,
-    entry: NodeId,
     canonical: Canonicalized,
     pst: Option<ProgramStructureTree>,
+    /// Interned by `controldep`; `lint` reads its DOD.
+    strong: Option<StrongControlDeps>,
+    /// The DOD a `lint` computed before any `controldep`, handed over to
+    /// `strong` when that is built.
+    dod: Option<Dod>,
 }
 
 impl EdgeArtifacts {
     fn pst(&mut self) -> &ProgramStructureTree {
         self.pst
             .get_or_insert_with(|| ProgramStructureTree::build(&self.canonical.cfg))
+    }
+
+    fn strong(&mut self) -> &StrongControlDeps {
+        let (graph, dod) = (&self.graph, &mut self.dod);
+        self.strong.get_or_insert_with(|| match dod.take() {
+            Some(dod) => StrongControlDeps::of_graph_with_dod(graph, dod),
+            None => StrongControlDeps::of_graph(graph),
+        })
+    }
+
+    /// Lints the unit over its own repair and DOD rather than computing
+    /// either again (as `lint_graph` would). The DOD is the one
+    /// `controldep` reports: taken from `strong` when that exists, else
+    /// computed here (same budget) and later handed to `strong`.
+    fn lint(&mut self) -> pst_analysis::LintReport {
+        if self.strong.is_none() && self.dod.is_none() {
+            self.dod = Some(Dod::compute_budgeted(&self.graph, DEFAULT_DOD_BUDGET));
+        }
+        let dod = self.strong.as_ref().map(StrongControlDeps::dod).or(self.dod.as_ref());
+        pst_analysis::lint_canonicalized(
+            &self.graph,
+            &self.canonical,
+            dod,
+            &pst_analysis::LintConfig::new(),
+        )
     }
 }
 
@@ -259,6 +289,9 @@ impl Unit {
                 bytes += e.graph.node_count() * 96 + e.canonical.cfg.node_count() * 160;
                 if e.pst.is_some() {
                     bytes += e.canonical.cfg.node_count() * 96;
+                }
+                if let Some(strong) = &e.strong {
+                    bytes += e.graph.node_count() * 96 + strong.ntscd().relation_size() * 4;
                 }
             }
         }
@@ -883,9 +916,10 @@ fn register_edges(source: &str) -> Result<Unit, MethodError> {
     Ok(Unit {
         data: UnitData::Edges(Box::new(EdgeArtifacts {
             graph,
-            entry,
             canonical,
             pst: None,
+            strong: None,
+            dod: None,
         })),
         kind: KIND_EDGES,
         source: source.to_string(),
@@ -920,7 +954,7 @@ fn compute(unit: &mut Unit, method: Method, deadline: Deadline) -> Result<Json, 
             let mut out = Vec::with_capacity(functions.len());
             for fa in functions.iter() {
                 deadline.check()?;
-                let strong = pst_controldep::StrongControlDeps::of_cfg(&fa.f.cfg);
+                let strong = StrongControlDeps::of_cfg(&fa.f.cfg);
                 out.push(controldep_json(&fa.f.name, &strong));
             }
             Ok(Json::Arr(out))
@@ -983,9 +1017,8 @@ fn compute(unit: &mut Unit, method: Method, deadline: Deadline) -> Result<Json, 
             // canonicalization, non-terminating regions intact. The
             // classic relation needs a valid CFG, so its size is reported
             // from the Definition-1 repair for comparison.
-            let strong = pst_controldep::StrongControlDeps::of_graph(&e.graph);
             let classic = pst_controldep::ClassicControlDeps::compute(&e.canonical.cfg);
-            let mut j = controldep_json("<edges>", &strong);
+            let mut j = controldep_json("<edges>", e.strong());
             if let Json::Obj(fields) = &mut j {
                 fields.push((
                     "classic_deps_canonical".to_string(),
@@ -994,16 +1027,7 @@ fn compute(unit: &mut Unit, method: Method, deadline: Deadline) -> Result<Json, 
             }
             Ok(j)
         }
-        (UnitData::Edges(e), Method::Lint) => {
-            let lint = pst_analysis::lint_graph(
-                &e.graph,
-                e.entry,
-                &CanonicalizeOptions::default(),
-                &pst_analysis::LintConfig::new(),
-            )
-            .map_err(|err| (ErrorCode::AnalysisError, format!("canonicalize error: {err}")))?;
-            Ok(lint.report.to_json("<edges>"))
-        }
+        (UnitData::Edges(e), Method::Lint) => Ok(e.lint().to_json("<edges>")),
         (UnitData::Edges(e), Method::Canonicalize) => {
             let counts = e.canonical.report.counts();
             Ok(Json::obj([
@@ -1105,7 +1129,7 @@ fn control_regions_json(name: &str, cfg: &pst_cfg::Cfg) -> Json {
 /// Renders one unit's strong-control-dependence summary: relation sizes,
 /// DOD witnesses, the strong-region partition, and — when the classic
 /// relation is available — the termination-sensitive surplus per branch.
-fn controldep_json(name: &str, strong: &pst_controldep::StrongControlDeps) -> Json {
+fn controldep_json(name: &str, strong: &StrongControlDeps) -> Json {
     let ntscd = strong.ntscd();
     let dod = strong.dod();
     let regions = strong.regions();

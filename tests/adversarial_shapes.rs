@@ -8,13 +8,21 @@
 //!   node with 10⁴ incident edges and as many backedges ending at it;
 //! * 2000 nested while loops: the longest-lived bracket lists.
 //!
+//! 4000 nested while loops also drive the QPG: its context lays the
+//! nodes out once in PST preorder (the deepest region nesting makes any
+//! per-region copy quadratic), and sparse solutions over it must equal
+//! the iterative solver's.
+//!
 //! Each result is checked by the independent checkers of `pst-verify`
 //! (dominator-based SESE triple; control regions against the CDG
 //! baseline) and against `CycleEquiv::compute` on the explicit closure.
 //! The quadratic slow oracles are out of budget at these sizes.
 
-use pst_cfg::{Cfg, CfgBuilder};
-use pst_core::{canonical_regions, ControlRegions, CycleEquiv};
+use pst_cfg::{Cfg, CfgBuilder, NodeId};
+use pst_core::{canonical_regions, ControlRegions, CycleEquiv, ProgramStructureTree};
+use pst_dataflow::{
+    solve_iterative, BitSet, Confluence, DataflowProblem, Flow, GenKill, QpgContext,
+};
 use pst_verify::{check_control_regions, check_sese};
 use pst_workloads::{linear_chain, nested_while_loops};
 
@@ -89,4 +97,94 @@ fn two_thousand_nested_while_loops() {
     // every header, the body and every inner loop's exit block (each runs
     // a different number of times) has its own.
     assert_eq!(classes, 1 + depth + 1 + (depth - 1));
+}
+
+/// Reaching definitions of one variable over a bare CFG: node `sites[i]`
+/// generates fact `i` and kills the others.
+struct Defs {
+    transfers: Vec<GenKill>,
+    universe: usize,
+}
+
+impl Defs {
+    fn new(cfg: &Cfg, sites: &[NodeId]) -> Self {
+        let universe = sites.len();
+        let mut transfers: Vec<GenKill> =
+            (0..cfg.node_count()).map(|_| GenKill::identity(universe)).collect();
+        for (i, s) in sites.iter().enumerate() {
+            let t = &mut transfers[s.index()];
+            t.gen.insert(i);
+            t.kill = BitSet::full(universe);
+            t.kill.remove(i);
+        }
+        Defs { transfers, universe }
+    }
+}
+
+impl DataflowProblem for Defs {
+    fn flow(&self) -> Flow {
+        Flow::Forward
+    }
+    fn confluence(&self) -> Confluence {
+        Confluence::Union
+    }
+    fn universe(&self) -> usize {
+        self.universe
+    }
+    fn boundary(&self) -> BitSet {
+        BitSet::new(self.universe)
+    }
+    fn transfer(&self, node: NodeId) -> &GenKill {
+        &self.transfers[node.index()]
+    }
+}
+
+#[test]
+fn qpg_over_four_thousand_nested_while_loops() {
+    let depth = 4000;
+    let cfg = nested_while_loops(depth);
+    let pst = ProgramStructureTree::build(&cfg);
+    let ctx = QpgContext::new(&cfg, &pst).expect("PST matches its CFG");
+    // One layout entry per CFG node: the root's slice holds every node
+    // once, and every region's nodes are a slice of that same array.
+    let all = ctx.region_nodes(pst.root());
+    assert_eq!(all.len(), cfg.node_count());
+    let mut seen = vec![false; cfg.node_count()];
+    for n in all {
+        assert!(!std::mem::replace(&mut seen[n.index()], true), "{n} twice");
+    }
+    // Each node sits in its own region's slice and in none of that
+    // region's children's; each child's slice nests in its parent's.
+    let within = |inner: &[NodeId], outer: &[NodeId]| {
+        let (i, o) = (inner.as_ptr_range(), outer.as_ptr_range());
+        o.start <= i.start && i.end <= o.end
+    };
+    for (p, &n) in all.iter().enumerate() {
+        let own = pst.region_of_node(n);
+        let slot = &all[p..=p];
+        assert!(within(slot, ctx.region_nodes(own)), "{n} outside {own}");
+        for &c in pst.children(own) {
+            assert!(within(ctx.region_nodes(c), ctx.region_nodes(own)));
+            assert!(!within(slot, ctx.region_nodes(c)), "{n} inside child {c}");
+        }
+    }
+    // A definition before the nest bypasses all of it, and the sparse
+    // solution projected over the nest's 8000-node slice is the full one.
+    let sites = [cfg.entry()];
+    let problem = Defs::new(&cfg, &sites);
+    let qpg = ctx.build_from_sites(&sites).expect("PST matches its CFG");
+    assert_eq!(qpg.node_count(), 2, "only the entry and the exit are kept");
+    assert_eq!(
+        ctx.solve(&qpg, &problem).expect("consistent QPG"),
+        solve_iterative(&cfg, &problem)
+    );
+    // One in the innermost body marks every enclosing loop, so only the
+    // transparent loop-exit blocks are bypassed: the entry, every header,
+    // the body and the exit stay. (Solving it would take one round per
+    // loop level.)
+    let body = NodeId::from_index(depth + 1);
+    let qpg = ctx
+        .build_from_sites(&[cfg.entry(), body])
+        .expect("PST matches its CFG");
+    assert_eq!(qpg.node_count(), depth + 3);
 }
