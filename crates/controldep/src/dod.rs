@@ -111,6 +111,8 @@ impl Dod {
         let mut ord_ab = vec![false; n];
         let mut ord_ba = vec![false; n];
         let mut inevitable = vec![false; n];
+        let mut pairs_checked = 0u64;
+        let mut witnesses_found = 0u64;
 
         'outer: for comp in &members {
             // Only nontrivial SCCs can hold an order-dependent pair.
@@ -150,7 +152,7 @@ impl Dod {
                         break 'outer;
                     }
                     props_left -= 2;
-                    pst_obs::counter!("dod_pairs_checked");
+                    pairs_checked += 1;
                     inevitable_to_into(graph, a, Some(b), &mut ord_ab, &mut needed, &mut worklist);
                     inevitable_to_into(graph, b, Some(a), &mut ord_ba, &mut needed, &mut worklist);
                     for (wi, mut bits) in both().enumerate() {
@@ -160,7 +162,7 @@ impl Dod {
                             let a_first = succs.iter().any(|s| ord_ab[s.index()]);
                             let b_first = succs.iter().any(|s| ord_ba[s.index()]);
                             if a_first && b_first {
-                                pst_obs::counter!("dod_witnesses");
+                                witnesses_found += 1;
                                 witnesses.push(DodWitness {
                                     branch: *p,
                                     first: a,
@@ -171,6 +173,14 @@ impl Dod {
                     }
                 }
             }
+        }
+        // One registry update per counter and call; a count of zero stays
+        // absent from the report, as an operation that never happened.
+        if pairs_checked > 0 {
+            pst_obs::counter!("dod_pairs_checked", pairs_checked);
+        }
+        if witnesses_found > 0 {
+            pst_obs::counter!("dod_witnesses", witnesses_found);
         }
         witnesses.sort_unstable();
         witnesses.dedup();

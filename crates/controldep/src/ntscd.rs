@@ -70,8 +70,8 @@ impl Ntscd {
         let mut inevitable = vec![false; n];
         let mut needed: Vec<u32> = vec![0; n];
         let mut worklist: Vec<NodeId> = Vec::with_capacity(n);
+        let mut deps_total = 0u64;
         for w in graph.nodes() {
-            pst_obs::counter!("ntscd_targets");
             inevitable_to_into(graph, w, None, &mut inevitable, &mut needed, &mut worklist);
             for (p, succs) in &branches {
                 let mut any_in = false;
@@ -86,9 +86,17 @@ impl Ntscd {
                 if any_in && any_out {
                     // Branch order is ascending, so `deps[w]` stays sorted.
                     deps[w.index()].push(*p);
-                    pst_obs::counter!("ntscd_deps_total");
+                    deps_total += 1;
                 }
             }
+        }
+        // One registry update per counter and call; a count of zero stays
+        // absent from the report, as an operation that never happened.
+        if n > 0 {
+            pst_obs::counter!("ntscd_targets", n);
+        }
+        if deps_total > 0 {
+            pst_obs::counter!("ntscd_deps_total", deps_total);
         }
         Ntscd { deps }
     }

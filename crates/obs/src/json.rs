@@ -1,11 +1,13 @@
 //! A hand-rolled JSON value type, emitter, and parser.
 //!
 //! The build environment cannot fetch `serde`, so reports are emitted
-//! through this ~200-line module instead. It supports exactly the JSON
-//! data model: the emitter escapes strings per RFC 8259, integers
-//! round-trip exactly (`i64`/`u64` are kept out of floating point), and
-//! the parser exists so tests and `scripts/verify.sh` can validate what
-//! the pipeline emits without external tooling.
+//! through this module instead. It supports exactly the JSON data
+//! model: the emitter escapes strings per RFC 8259, integers round-trip
+//! exactly (`i64`/`u64` are kept out of floating point), and the parser
+//! reads the serve daemon's requests and cache snapshots as well as
+//! letting tests validate what the pipeline emits. Both scan strings a
+//! run of plain bytes at a time, so their cost is linear in the
+//! document.
 
 use std::fmt;
 
@@ -71,6 +73,7 @@ impl Json {
     /// Parses a JSON document.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -150,22 +153,56 @@ impl fmt::Display for Json {
     }
 }
 
+/// Writes `s` as a JSON string literal. Bytes that need no escape are
+/// written a run at a time: every byte that does (`"`, `\` and the
+/// controls below 0x20) is ASCII, so each run ends on a char boundary.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            '\u{08}' => f.write_str("\\b")?,
-            '\u{0C}' => f.write_str("\\f")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_fmt(format_args!("{c}"))?,
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        f.write_str(&s[start..run_end(s, start, i)])?;
+        if escape.is_empty() {
+            write!(f, "\\u{b:04x}")?;
+        } else {
+            f.write_str(escape)?;
         }
+        start = i + 1;
     }
+    f.write_str(&s[start..run_end(s, start, s.len())])?;
     f.write_str("\"")
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only mutation: end every copied run one char early, so the
+    /// oracle comparisons can be shown to fail.
+    static SHORT_RUNS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Where the copy of the plain run `text[start..end]` stops: at `end`,
+/// except under the test-only `SHORT_RUNS` mutation.
+#[inline(always)]
+fn run_end(text: &str, start: usize, end: usize) -> usize {
+    #[cfg(test)]
+    if end > start && SHORT_RUNS.with(std::cell::Cell::get) {
+        return text[..end]
+            .char_indices()
+            .next_back()
+            .map_or(start, |(i, _)| i);
+    }
+    let _ = (text, start);
+    end
 }
 
 /// Parse failure with a byte offset.
@@ -185,7 +222,17 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The char a high and a low surrogate encode together; `None` when
+/// `lo` is not a low surrogate.
+fn surrogate_pair(hi: u32, lo: u32) -> Option<char> {
+    if !(0xDC00..0xE000).contains(&lo) {
+        return None;
+    }
+    char::from_u32(0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00))
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -290,86 +337,83 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Scans a string literal. Each run of plain bytes up to the next
+    /// `"`, `\` or control byte is copied with one `push_str`: those
+    /// bytes are ASCII, so they sit on char boundaries of `text`, and
+    /// the whole scan is linear in the literal's length.
     fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&b) = rest.first() else {
-                return Err(self.err("unterminated string"));
-            };
-            match b {
-                b'"' => {
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            out.push_str(&self.text[start..run_end(self.text, start, self.pos)]);
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                b'\\' => {
-                    self.pos += 1;
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{08}'),
-                        b'f' => out.push('\u{0C}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ASCII \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes.get(self.pos) == Some(&b'\\')
-                                    && self.bytes.get(self.pos + 1) == Some(&b'u')
-                                {
-                                    let lo_hex = self
-                                        .bytes
-                                        .get(self.pos + 2..self.pos + 6)
-                                        .ok_or_else(|| self.err("truncated surrogate"))?;
-                                    let lo_hex = std::str::from_utf8(lo_hex)
-                                        .map_err(|_| self.err("non-ASCII surrogate"))?;
-                                    let lo = u32::from_str_radix(lo_hex, 16)
-                                        .map_err(|_| self.err("bad surrogate"))?;
-                                    self.pos += 6;
-                                    let combined =
-                                        0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined)
-                                        .ok_or_else(|| self.err("invalid surrogate pair"))?
-                                } else {
-                                    return Err(self.err("lone surrogate"));
-                                }
-                            } else {
-                                char::from_u32(cp).ok_or_else(|| self.err("invalid codepoint"))?
-                            };
-                            out.push(c);
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar.
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(b'\\') => self.escape(&mut out)?,
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
+    }
+
+    /// Decodes the escape sequence at `pos` (which holds its `\`)
+    /// onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), ParseError> {
+        self.pos += 1;
+        let Some(&esc) = self.bytes.get(self.pos) else {
+            return Err(self.err("unterminated escape"));
+        };
+        self.pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'b' => out.push('\u{08}'),
+            b'f' => out.push('\u{0C}'),
+            b'u' => {
+                let cp = self.hex4(self.pos, "\\u escape")?;
+                self.pos += 4;
+                // Surrogate pairs.
+                let c = if (0xD800..0xDC00).contains(&cp) {
+                    if self.bytes.get(self.pos) == Some(&b'\\')
+                        && self.bytes.get(self.pos + 1) == Some(&b'u')
+                    {
+                        let lo = self.hex4(self.pos + 2, "surrogate")?;
+                        self.pos += 6;
+                        surrogate_pair(cp, lo).ok_or_else(|| self.err("invalid surrogate pair"))?
+                    } else {
+                        return Err(self.err("lone surrogate"));
+                    }
+                } else {
+                    char::from_u32(cp).ok_or_else(|| self.err("invalid codepoint"))?
+                };
+                out.push(c);
+            }
+            _ => return Err(self.err("unknown escape")),
+        }
+        Ok(())
+    }
+
+    /// The four hex digits of the `what` (`\u` escape or surrogate)
+    /// that start at `at`; errors are reported at `pos`.
+    fn hex4(&self, at: usize, what: &str) -> Result<u32, ParseError> {
+        let hex = self
+            .bytes
+            .get(at..at + 4)
+            .ok_or_else(|| self.err(&format!("truncated {what}")))?;
+        let hex = std::str::from_utf8(hex).map_err(|_| self.err(&format!("non-ASCII {what}")))?;
+        u32::from_str_radix(hex, 16).map_err(|_| self.err(&format!("bad {what}")))
     }
 
     fn number(&mut self) -> Result<Json, ParseError> {
@@ -417,6 +461,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn escapes_and_round_trips_strings() {
@@ -486,5 +531,257 @@ mod tests {
         let hit = v.find_object_with("name", "cycle_equiv").unwrap();
         assert_eq!(hit.get("name"), Some(&Json::Str("cycle_equiv".into())));
         assert!(v.find_object_with("name", "missing").is_none());
+    }
+
+    // ---- Oracles: the char-at-a-time scan and escape loops the run
+    // copies replaced, kept verbatim (plus the low-surrogate range check
+    // both now make) to compare the fast paths against.
+
+    impl Parser<'_> {
+        fn string_oracle(&mut self) -> Result<String, ParseError> {
+            self.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                let rest = &self.bytes[self.pos..];
+                let Some(&b) = rest.first() else {
+                    return Err(self.err("unterminated string"));
+                };
+                match b {
+                    b'"' => {
+                        self.pos += 1;
+                        return Ok(out);
+                    }
+                    b'\\' => {
+                        self.pos += 1;
+                        let Some(&esc) = self.bytes.get(self.pos) else {
+                            return Err(self.err("unterminated escape"));
+                        };
+                        self.pos += 1;
+                        match esc {
+                            b'"' => out.push('"'),
+                            b'\\' => out.push('\\'),
+                            b'/' => out.push('/'),
+                            b'n' => out.push('\n'),
+                            b'r' => out.push('\r'),
+                            b't' => out.push('\t'),
+                            b'b' => out.push('\u{08}'),
+                            b'f' => out.push('\u{0C}'),
+                            b'u' => {
+                                let hex = self
+                                    .bytes
+                                    .get(self.pos..self.pos + 4)
+                                    .ok_or_else(|| self.err("truncated \\u escape"))?;
+                                let hex = std::str::from_utf8(hex)
+                                    .map_err(|_| self.err("non-ASCII \\u escape"))?;
+                                let cp = u32::from_str_radix(hex, 16)
+                                    .map_err(|_| self.err("bad \\u escape"))?;
+                                self.pos += 4;
+                                // Surrogate pairs.
+                                let c = if (0xD800..0xDC00).contains(&cp) {
+                                    if self.bytes.get(self.pos) == Some(&b'\\')
+                                        && self.bytes.get(self.pos + 1) == Some(&b'u')
+                                    {
+                                        let lo_hex = self
+                                            .bytes
+                                            .get(self.pos + 2..self.pos + 6)
+                                            .ok_or_else(|| self.err("truncated surrogate"))?;
+                                        let lo_hex = std::str::from_utf8(lo_hex)
+                                            .map_err(|_| self.err("non-ASCII surrogate"))?;
+                                        let lo = u32::from_str_radix(lo_hex, 16)
+                                            .map_err(|_| self.err("bad surrogate"))?;
+                                        self.pos += 6;
+                                        if !(0xDC00..0xE000).contains(&lo) {
+                                            return Err(self.err("invalid surrogate pair"));
+                                        }
+                                        let combined =
+                                            0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                                        char::from_u32(combined)
+                                            .ok_or_else(|| self.err("invalid surrogate pair"))?
+                                    } else {
+                                        return Err(self.err("lone surrogate"));
+                                    }
+                                } else {
+                                    char::from_u32(cp)
+                                        .ok_or_else(|| self.err("invalid codepoint"))?
+                                };
+                                out.push(c);
+                            }
+                            _ => return Err(self.err("unknown escape")),
+                        }
+                    }
+                    _ => {
+                        // Consume one UTF-8 scalar.
+                        let s = std::str::from_utf8(rest)
+                            .map_err(|_| self.err("invalid UTF-8 in string"))?;
+                        let c = s.chars().next().unwrap();
+                        if (c as u32) < 0x20 {
+                            return Err(self.err("raw control character in string"));
+                        }
+                        out.push(c);
+                        self.pos += c.len_utf8();
+                    }
+                }
+            }
+        }
+    }
+
+    fn write_escaped_oracle(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+        f.write_str("\"")?;
+        for c in s.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                '\u{08}' => f.write_str("\\b")?,
+                '\u{0C}' => f.write_str("\\f")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_fmt(format_args!("{c}"))?,
+            }
+        }
+        f.write_str("\"")
+    }
+
+    struct Oracle<'a>(&'a str);
+
+    impl fmt::Display for Oracle<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write_escaped_oracle(f, self.0)
+        }
+    }
+
+    /// Scans the string literal at the start of `text`, by the fast path
+    /// or by the oracle: the result plus where the scan stopped.
+    fn scan(text: &str, oracle: bool) -> (Result<String, ParseError>, usize) {
+        let mut p = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        let result = if oracle {
+            p.string_oracle()
+        } else {
+            p.string()
+        };
+        (result, p.pos)
+    }
+
+    /// Whether the fast paths agree with the oracles on `s` rendered as
+    /// a literal and on `literal` scanned as one.
+    fn agrees(s: &str, literal: &str) -> bool {
+        Json::Str(s.to_string()).to_string() == Oracle(s).to_string()
+            && scan(literal, false) == scan(literal, true)
+    }
+
+    /// Runs `f` with every run copy cut one char short.
+    fn with_short_runs<T>(f: impl FnOnce() -> T) -> T {
+        SHORT_RUNS.with(|m| m.set(true));
+        let out = f();
+        SHORT_RUNS.with(|m| m.set(false));
+        out
+    }
+
+    /// Chars that stress the renderer: escapes, every control byte,
+    /// multi-byte UTF-8 of each width, and plain ASCII.
+    fn render_char() -> impl Strategy<Value = char> {
+        let from = |c: u32| char::from_u32(c).unwrap_or('\u{FFFD}');
+        prop_oneof![
+            (0x20u32..0x7f).prop_map(from),
+            (0u32..0x20).prop_map(from),
+            proptest::sample::select(vec!['"', '\\', '/', '\u{7f}', '\u{2028}']),
+            (0x80u32..0x800).prop_map(from),
+            (0x800u32..0xD800).prop_map(from),
+            (0x10000u32..0x110000).prop_map(from),
+        ]
+    }
+
+    /// Pieces of a JSON-ish string body: any char the renderer is
+    /// tested on (raw control characters included), or one of the
+    /// escapes below, separated by `|`: each valid one, surrogate pairs,
+    /// lone and mismatched surrogates, truncated and malformed `\u`
+    /// escapes, an unknown escape, a lone backslash and the closing
+    /// quote.
+    fn body_piece() -> impl Strategy<Value = String> {
+        const ESCAPES: &str = concat!(
+            r#"\"|\\|\/|\n|\r|\t|\b|\f|\u0041|\u00e9|\u20AC|\uD83D\uDE00|\uDBFF\uDFFF|"#,
+            r#"\uD83D|\uDE00|\uD83Dx|\uD83D\u0041|\uD83D\uD83D|\uD83D\u12|\uD83D\uZZZZ|"#,
+            r#"\uD83D\|\u12|\u+041|\uZZZZ|\u00é|\x|\|""#,
+        );
+        prop_oneof![
+            proptest::sample::select(ESCAPES.split('|').map(String::from).collect()),
+            render_char().prop_map(String::from),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn rendering_matches_the_char_at_a_time_oracle(
+            chars in proptest::collection::vec(render_char(), 0..48),
+        ) {
+            let s: String = chars.into_iter().collect();
+            let fast = Json::Str(s.clone()).to_string();
+            prop_assert_eq!(&fast, &Oracle(&s).to_string());
+            prop_assert_eq!(Json::parse(&fast).unwrap(), Json::Str(s));
+        }
+
+        #[test]
+        fn scanning_matches_the_char_at_a_time_oracle(
+            pieces in proptest::collection::vec(body_piece(), 0..24),
+            closed in 0u8..3,
+        ) {
+            let mut literal = format!("\"{}", pieces.concat());
+            if closed > 0 {
+                literal.push_str("\", 1]");
+            }
+            prop_assert_eq!(scan(&literal, false), scan(&literal, true), "{literal:?}");
+        }
+    }
+
+    #[test]
+    fn every_control_byte_renders_and_scans_like_the_oracle() {
+        for b in 0u8..0x20 {
+            let c = char::from(b);
+            let s = format!("é{c}\u{1F600}{c}\"\\{c}x");
+            assert!(agrees(&s, &Json::Str(s.clone()).to_string()), "{b:#04x}");
+            let raw = format!("\"ab{c}\"");
+            assert!(agrees("", &raw), "raw {b:#04x}");
+        }
+    }
+
+    #[test]
+    fn a_short_run_copy_fails_the_oracle_comparison() {
+        let cases = [
+            ("plain text", "\"plain text\""),
+            ("é then \" quote", "\"é then \\\" quote\""),
+            ("\u{1F600}\n", "\"\u{1F600}\\n\""),
+        ];
+        assert!(cases.iter().all(|(s, lit)| agrees(s, lit)));
+        for (s, literal) in cases {
+            let rendered = with_short_runs(|| Json::Str(s.to_string()).to_string());
+            assert_ne!(rendered, Oracle(s).to_string(), "render of {s:?}");
+            let scanned = with_short_runs(|| scan(literal, false));
+            assert_ne!(scanned, scan(literal, true), "scan of {literal:?}");
+        }
+    }
+
+    #[test]
+    fn a_high_surrogate_needs_a_low_one() {
+        for text in [
+            "\"\\uD83D\\u0041\"",
+            "\"\\uD83D\\uD83D\"",
+            "\"\\uD83D\\u+C00\"",
+        ] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(
+                (err.at, err.message.as_str()),
+                (13, "invalid surrogate pair"),
+                "{text}"
+            );
+        }
+        assert_eq!(
+            Json::parse("\"\\uD83D\\uDE00\"").unwrap(),
+            Json::Str("\u{1F600}".to_string())
+        );
     }
 }

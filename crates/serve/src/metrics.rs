@@ -10,8 +10,8 @@
 //! format, whose counters must never decrease.
 //!
 //! The slowlog is a bounded ring of the top-K slowest requests seen so
-//! far, each carrying the per-phase breakdown measured inside the
-//! session (`register` / `inject` / `compute`), so a chaos-injected
+//! far, each carrying its per-phase breakdown (`parse`, then the
+//! session's `register` / `inject` / `compute`), so a chaos-injected
 //! stall is attributable to its phase rather than a mystery total.
 //!
 //! The text exposition is deliberately minimal Prometheus 0.0.4: one
@@ -40,6 +40,10 @@ pub struct RequestOutcome {
     pub cached: bool,
     /// End-to-end latency as the reply was built.
     pub total_nanos: u64,
+    /// Time parsing the request line, before dispatch. Set by the entry
+    /// point that parsed it (`handle_line`); 0 for a request that came
+    /// in already parsed (`handle_request`).
+    pub parse_nanos: u64,
     /// Time resolving/registering the unit (parse + canonicalize on a
     /// cache miss, a lookup on a hit).
     pub register_nanos: u64,
@@ -275,6 +279,7 @@ impl LiveMetrics {
                                 (
                                     "phases",
                                     Json::obj([
+                                        ("parse_nanos", Json::UInt(o.parse_nanos)),
                                         ("register_nanos", Json::UInt(o.register_nanos)),
                                         ("inject_nanos", Json::UInt(o.inject_nanos)),
                                         ("compute_nanos", Json::UInt(o.compute_nanos)),
@@ -380,6 +385,7 @@ mod tests {
             ok,
             cached,
             total_nanos: nanos,
+            parse_nanos: nanos / 8,
             register_nanos: nanos / 4,
             inject_nanos: 0,
             compute_nanos: nanos / 2,
@@ -426,10 +432,9 @@ mod tests {
             .collect();
         assert_eq!(totals, vec![9_000, 7_000, 5_000]);
         // Phase breakdowns ride along.
-        assert_eq!(
-            entries[0].get("phases").and_then(|p| p.get("compute_nanos")),
-            Some(&Json::UInt(4_500))
-        );
+        let phases = entries[0].get("phases").unwrap();
+        assert_eq!(phases.get("compute_nanos"), Some(&Json::UInt(4_500)));
+        assert_eq!(phases.get("parse_nanos"), Some(&Json::UInt(1_125)));
     }
 
     #[test]

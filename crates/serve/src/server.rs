@@ -175,8 +175,12 @@ pub fn serve_stream<R: BufRead, W: Write>(
             // client sees an abrupt disconnect and is expected to retry.
             return Ok(false);
         }
-        writer.write_all(reply.line.as_bytes())?;
-        writer.write_all(b"\n")?;
+        // One write per reply, newline included: a separate write of
+        // the "\n" would sit in Nagle's buffer until the client's
+        // delayed ACK (~40ms) released it.
+        let mut line = reply.line;
+        line.push('\n');
+        writer.write_all(line.as_bytes())?;
         writer.flush()?;
         if reply.shutdown {
             return Ok(true);
@@ -355,17 +359,15 @@ impl ConnQueue {
 /// refused, then drops it. Best-effort: the client may already be gone.
 fn shed_connection(shared: &SharedSession, mut stream: TcpStream) {
     pst_obs::counter!("serve_shed");
-    let line = overloaded_response(
+    let envelope = overloaded_response(
         &Json::Null,
         &format!(
             "daemon accept queue is full ({} workers; --workers); retry after the hint",
             shared.config().workers
         ),
         25,
-    )
-    .to_string();
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.write_all(b"\n");
+    );
+    let _ = stream.write_all(format!("{envelope}\n").as_bytes());
 }
 
 /// Serves one accepted connection on a worker thread. All I/O errors

@@ -443,7 +443,12 @@ impl Session {
             Ok(r) => r,
             Err(e) => return self.error_reply(&e.id, e.code, &e.message),
         };
-        self.handle_request(&req, started)
+        let parse_nanos = started.elapsed().as_nanos() as u64;
+        let mut reply = self.handle_request(&req, started);
+        if let Some(outcome) = &mut reply.outcome {
+            outcome.parse_nanos = parse_nanos;
+        }
+        reply
     }
 
     /// Dispatches one parsed request. Entry points count
@@ -547,6 +552,7 @@ impl Session {
             ok: false,
             cached: false,
             total_nanos: nanos,
+            parse_nanos: 0,
             register_nanos: 0,
             inject_nanos: 0,
             compute_nanos: 0,
@@ -585,6 +591,7 @@ impl Session {
                     ok: true,
                     cached: answer.cached,
                     total_nanos: nanos,
+                    parse_nanos: 0,
                     register_nanos: answer.register_nanos,
                     inject_nanos: answer.inject_nanos,
                     compute_nanos: answer.compute_nanos,

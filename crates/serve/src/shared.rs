@@ -215,6 +215,7 @@ impl SharedSession {
             Ok(r) => r,
             Err(e) => return self.error_reply(&e.id, e.code, &e.message),
         };
+        let parse_nanos = started.elapsed().as_nanos() as u64;
         match req.method {
             Method::Shutdown => {
                 self.draining.store(true, Ordering::SeqCst);
@@ -253,7 +254,7 @@ impl SharedSession {
             }
             Method::Metrics => self.metrics_reply(&req, started),
             Method::Slowlog => self.slowlog_reply(&req, started),
-            _ => self.handle_analysis(&req, started),
+            _ => self.handle_analysis(&req, started, parse_nanos),
         }
     }
 
@@ -332,7 +333,12 @@ impl SharedSession {
         }
     }
 
-    fn handle_analysis(&self, req: &Request, started: Instant) -> crate::session::Reply {
+    fn handle_analysis(
+        &self,
+        req: &Request,
+        started: Instant,
+        parse_nanos: u64,
+    ) -> crate::session::Reply {
         if self.is_draining() {
             self.shed.fetch_add(1, Ordering::SeqCst);
             pst_obs::counter!("serve_shed");
@@ -375,7 +381,10 @@ impl SharedSession {
         }
         let _slot = InFlightGuard(&self.in_flight);
         let shard = self.shard_of(&req.input);
-        let reply = lock(&self.shards[shard]).handle_request(req, started);
+        let mut reply = lock(&self.shards[shard]).handle_request(req, started);
+        if let Some(outcome) = &mut reply.outcome {
+            outcome.parse_nanos = parse_nanos;
+        }
 
         // Fold the request into the live series (and, past the
         // threshold, the journal) before the reply leaves the daemon.
