@@ -148,10 +148,12 @@ impl Cfg {
     /// Theorem 2 and returns it together with the id of the added edge.
     ///
     /// Node and edge ids of `G` are preserved; the returned edge id is the
-    /// single fresh edge.
+    /// single fresh edge. Only the edge array is copied: `S` builds its
+    /// own adjacency index on its first adjacency query, and cycle
+    /// equivalence, which reads only endpoints, never asks for one.
     pub fn to_strongly_connected(&self) -> (Graph, EdgeId) {
         let _span = pst_obs::Span::enter("strongly_connect");
-        let mut g = self.graph.clone();
+        let mut g = self.graph.clone_reserving(1);
         let back = g.add_edge(self.exit, self.entry);
         (g, back)
     }
@@ -250,6 +252,7 @@ pub struct EdgeListOptions {
 
 /// A parsed edge token: the `(source, target)` pair plus the byte offset of
 /// the token in the input, for diagnostics.
+#[derive(Debug, PartialEq, Eq)]
 struct EdgeToken {
     source: usize,
     target: usize,
@@ -257,38 +260,131 @@ struct EdgeToken {
 }
 
 /// Splits an edge-list description into `a->b` pairs with token offsets.
+///
+/// Whitespace is whatever [`char::is_whitespace`] accepts. A token of the
+/// common form `digits->digits` that ends the input or is followed by
+/// whitespace is scanned byte by byte ([`scan_pair`]); every other token
+/// goes through [`parse_token`], which defines the syntax and every error.
 fn tokenize_edge_list(description: &str) -> Result<Vec<EdgeToken>, String> {
     let mut tokens = Vec::new();
-    let mut rest = description;
-    let mut base = 0usize;
-    while let Some(start) = rest.find(|c: char| !c.is_whitespace()) {
-        let tail = &rest[start..];
-        let len = tail
-            .find(char::is_whitespace)
-            .unwrap_or(tail.len());
-        let token = &tail[..len];
-        let offset = base + start;
-        let (a, b) = token
-            .split_once("->")
-            .ok_or_else(|| format!("malformed edge token `{token}` at byte {offset}"))?;
-        let source: usize = a
-            .parse()
-            .map_err(|_| format!("bad node number `{a}` in `{token}` at byte {offset}"))?;
-        let target: usize = b
-            .parse()
-            .map_err(|_| format!("bad node number `{b}` in `{token}` at byte {offset}"))?;
-        tokens.push(EdgeToken {
-            source,
-            target,
-            offset,
-        });
-        base = offset + len;
-        rest = &rest[start + len..];
+    let mut at = skip_whitespace(description, 0);
+    while at < description.len() {
+        let (token, end) = match scan_pair(description, at) {
+            Some(scanned) => scanned,
+            None => {
+                let end = at + token_at(description, at).len();
+                (parse_token(&description[at..end], at)?, end)
+            }
+        };
+        tokens.push(token);
+        at = skip_whitespace(description, end);
     }
     if tokens.is_empty() {
         return Err("empty edge list".to_string());
     }
     Ok(tokens)
+}
+
+/// Parses the whitespace-free `token` found at byte `offset`.
+fn parse_token(token: &str, offset: usize) -> Result<EdgeToken, String> {
+    let (a, b) = token
+        .split_once("->")
+        .ok_or_else(|| format!("malformed edge token `{token}` at byte {offset}"))?;
+    let source: usize = a
+        .parse()
+        .map_err(|_| format!("bad node number `{a}` in `{token}` at byte {offset}"))?;
+    let target: usize = b
+        .parse()
+        .map_err(|_| format!("bad node number `{b}` in `{token}` at byte {offset}"))?;
+    Ok(EdgeToken {
+        source,
+        target,
+        offset,
+    })
+}
+
+/// The longest decimal number [`scan_number`] reads: any 18 digits fit in
+/// a `u64`. Longer runs go to `str::parse`, which reports overflow.
+const MAX_SCANNED_DIGITS: usize = 18;
+
+/// The byte-scan fast path of [`tokenize_edge_list`]: the token
+/// `digits->digits` at byte `at` and the byte after it, when that byte
+/// ends the input or starts whitespace. `None` hands the token to
+/// [`parse_token`].
+fn scan_pair(description: &str, at: usize) -> Option<(EdgeToken, usize)> {
+    let bytes = description.as_bytes();
+    let (source, arrow) = scan_number(bytes, at)?;
+    if bytes.get(arrow..arrow + 2) != Some(b"->".as_slice()) {
+        return None;
+    }
+    let (target, end) = scan_number(bytes, arrow + 2)?;
+    if end < bytes.len() && whitespace_len(description, end).is_none() && !lax_follower() {
+        return None;
+    }
+    let token = EdgeToken {
+        source,
+        target,
+        offset: at,
+    };
+    Some((token, end))
+}
+
+/// The number spelled by the 1 to [`MAX_SCANNED_DIGITS`] ASCII digits at
+/// byte `at`, and the byte after them.
+fn scan_number(bytes: &[u8], at: usize) -> Option<(usize, usize)> {
+    let mut value = 0u64;
+    let mut end = at;
+    while let Some(&b) = bytes.get(end).filter(|b| b.is_ascii_digit()) {
+        if end - at == MAX_SCANNED_DIGITS {
+            return None;
+        }
+        value = value * 10 + u64::from(b - b'0');
+        end += 1;
+    }
+    if end == at {
+        return None;
+    }
+    Some((usize::try_from(value).ok()?, end))
+}
+
+/// The byte length of the whitespace char at byte `at`, a char boundary,
+/// or `None` when there is no whitespace there. ASCII bytes are tested
+/// directly (VT and FF count, as for [`char::is_whitespace`]); others
+/// are decoded.
+#[inline]
+fn whitespace_len(description: &str, at: usize) -> Option<usize> {
+    let b = *description.as_bytes().get(at)?;
+    if b.is_ascii() {
+        return char::from(b).is_whitespace().then_some(1);
+    }
+    let c = description[at..].chars().next()?;
+    c.is_whitespace().then(|| c.len_utf8())
+}
+
+/// The first byte at or after `at` that does not start whitespace.
+fn skip_whitespace(description: &str, mut at: usize) -> usize {
+    while let Some(len) = whitespace_len(description, at) {
+        at += len;
+    }
+    at
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only mutation: the fast path accepts a token followed by a
+    /// non-whitespace byte, so the oracle comparison can be shown to fail.
+    static LAX_FOLLOWER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Whether the test-only `LAX_FOLLOWER` mutation is on; never outside
+/// tests.
+#[inline(always)]
+fn lax_follower() -> bool {
+    #[cfg(test)]
+    if LAX_FOLLOWER.with(std::cell::Cell::get) {
+        return true;
+    }
+    false
 }
 
 /// The token slice of `description` starting at `offset`.
@@ -320,10 +416,17 @@ pub fn parse_edge_list_with(description: &str, options: &EdgeListOptions) -> Res
 
     // A node number inside 0..=max that no token mentions was almost
     // certainly not intended: name the gap and the token that implied it.
-    let mut mentioned = vec![false; max + 1];
+    // The tokens mention at most 2·tokens numbers, so if 0..=max has a gap
+    // the first one is at most 2·tokens: the bitmap never needs more room,
+    // whatever number the input names.
+    let limit = max.min(2 * tokens.len());
+    let mut mentioned = vec![false; limit + 1];
     for t in &tokens {
-        mentioned[t.source] = true;
-        mentioned[t.target] = true;
+        for v in [t.source, t.target] {
+            if v <= limit {
+                mentioned[v] = true;
+            }
+        }
     }
     if let Some(missing) = mentioned.iter().position(|&m| !m) {
         let culprit = tokens
@@ -372,9 +475,14 @@ pub fn parse_edge_list_with(description: &str, options: &EdgeListOptions) -> Res
 /// [`canonicalize`](crate::canonicalize) pipeline: parse degenerate input
 /// here, then repair it into a valid [`Cfg`].
 ///
+/// Every node in `0..=max` is created, so a node number must be below the
+/// description's length in bytes: parsing then allocates `O(input bytes)`
+/// however large a number the input names.
+///
 /// # Errors
 ///
-/// Returns an error string only for malformed syntax or an empty list.
+/// Returns an error string only for malformed syntax, an empty list, or
+/// a node number not below the description's length.
 ///
 /// # Examples
 ///
@@ -385,6 +493,15 @@ pub fn parse_edge_list_with(description: &str, options: &EdgeListOptions) -> Res
 /// ```
 pub fn parse_edge_list_graph(description: &str) -> Result<(Graph, NodeId), String> {
     let tokens = tokenize_edge_list(description)?;
+    let len = description.len();
+    if let Some(t) = tokens.iter().find(|t| t.source.max(t.target) >= len) {
+        return Err(format!(
+            "node number {} in `{}` at byte {} is not below the input length of {len} bytes",
+            t.source.max(t.target),
+            token_at(description, t.offset),
+            t.offset
+        ));
+    }
     let max = tokens
         .iter()
         .map(|t| t.source.max(t.target))
@@ -400,6 +517,8 @@ pub fn parse_edge_list_graph(description: &str) -> Result<(Graph, NodeId), Strin
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -530,5 +649,146 @@ mod tests {
         assert!(g.in_degree(entry) > 0); // no validation happened
         assert!(parse_edge_list_graph("").is_err());
         assert!(parse_edge_list_graph("0=>1").is_err());
+    }
+
+    #[test]
+    fn huge_node_numbers_are_rejected_without_allocating_for_them() {
+        let err = parse_edge_list("0->4000000000").unwrap_err();
+        assert!(err.contains("node 1 appears in no edge"), "{err}");
+        assert!(err.contains("`0->4000000000` at byte 0"), "{err}");
+        // A bitmap over every number named would need 10¹⁴ bytes here.
+        let err = parse_edge_list("0->1 1->100000000000000").unwrap_err();
+        assert!(err.contains("node 2 appears in no edge"), "{err}");
+        // The first gap lies past the tokens' own numbers.
+        let err = parse_edge_list("0->1 1->50").unwrap_err();
+        assert!(err.contains("node 2 appears in no edge"), "{err}");
+        assert!(err.contains("`1->50` at byte 5"), "{err}");
+
+        let err = parse_edge_list_graph("0->1\n1->4000000000").unwrap_err();
+        assert!(err.contains("node number 4000000000"), "{err}");
+        assert!(err.contains("`1->4000000000` at byte 5"), "{err}");
+        assert!(parse_edge_list_graph("0->1 0->13").is_err());
+        assert_eq!(
+            parse_edge_list_graph("0->1 0->8").unwrap().0.node_count(),
+            9
+        );
+    }
+
+    /// The tokenizer before its byte-scan fast path, kept as the oracle
+    /// for it: every token through `find(char::is_whitespace)` and
+    /// `str::parse`.
+    fn tokenize_oracle(description: &str) -> Result<Vec<EdgeToken>, String> {
+        let mut tokens = Vec::new();
+        let mut rest = description;
+        let mut base = 0usize;
+        while let Some(start) = rest.find(|c: char| !c.is_whitespace()) {
+            let tail = &rest[start..];
+            let len = tail.find(char::is_whitespace).unwrap_or(tail.len());
+            let token = &tail[..len];
+            let offset = base + start;
+            let (a, b) = token
+                .split_once("->")
+                .ok_or_else(|| format!("malformed edge token `{token}` at byte {offset}"))?;
+            let source: usize = a
+                .parse()
+                .map_err(|_| format!("bad node number `{a}` in `{token}` at byte {offset}"))?;
+            let target: usize = b
+                .parse()
+                .map_err(|_| format!("bad node number `{b}` in `{token}` at byte {offset}"))?;
+            tokens.push(EdgeToken {
+                source,
+                target,
+                offset,
+            });
+            base = offset + len;
+            rest = &rest[start + len..];
+        }
+        if tokens.is_empty() {
+            return Err("empty edge list".to_string());
+        }
+        Ok(tokens)
+    }
+
+    /// Pieces of edge lists: numbers (leading zeros, 18 to 21 digits,
+    /// `usize` overflow), arrows and signs, ASCII and Unicode whitespace,
+    /// multi-byte non-whitespace, and arbitrary chars.
+    fn fragment() -> impl Strategy<Value = String> {
+        let char_in = |lo: u32, hi: u32| {
+            (lo..hi).prop_map(|c| char::from_u32(c).unwrap_or('\u{FFFD}').to_string())
+        };
+        let pieces = [
+            "->",
+            "-",
+            ">",
+            "+",
+            "0",
+            "007",
+            " ",
+            "\t",
+            "\n",
+            "\r",
+            "\u{B}",
+            "\u{C}",
+            "\u{1C}",
+            "\u{85}",
+            "\u{A0}",
+            "\u{1680}",
+            "\u{2028}",
+            "\u{3000}",
+            "\u{200B}",
+            "é",
+            "→",
+            "日",
+            "\u{1F600}",
+            "999999999999999999",
+            "1000000000000000000",
+            "0000000000000000007",
+            "18446744073709551615",
+            "18446744073709551616",
+            "123456789012345678901",
+        ];
+        prop_oneof![
+            (0usize..2000).prop_map(|n| n.to_string()),
+            (0usize..2000).prop_map(|n| format!("{n}->")),
+            proptest::sample::select(pieces.map(String::from).to_vec()),
+            proptest::sample::select(pieces.map(String::from).to_vec()),
+            char_in(0, 0x80),
+            char_in(0x80, 0x3100),
+        ]
+    }
+
+    fn edge_list() -> impl Strategy<Value = String> {
+        proptest::collection::vec(fragment(), 0..24).prop_map(|parts| parts.concat())
+    }
+
+    proptest! {
+        #[test]
+        fn tokenizer_matches_its_oracle(text in edge_list()) {
+            prop_assert_eq!(tokenize_edge_list(&text), tokenize_oracle(&text), "{:?}", text);
+        }
+    }
+
+    #[test]
+    fn a_lax_fast_path_is_caught_by_the_oracle() {
+        let cases = [
+            "1->2x",
+            "0->1 3->4é",
+            "5->6-",
+            "7->8\u{200B} 9->10",
+            "1->2->3",
+        ];
+        let agree = || {
+            cases
+                .iter()
+                .all(|c| tokenize_edge_list(c) == tokenize_oracle(c))
+        };
+        assert!(agree());
+        LAX_FOLLOWER.with(|m| m.set(true));
+        let mutated = agree();
+        LAX_FOLLOWER.with(|m| m.set(false));
+        assert!(
+            !mutated,
+            "the oracle missed a token the fast path cut short"
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Strongly typed identifiers for graph nodes and edges.
 //!
-//! Both [`NodeId`] and [`EdgeId`] are thin `u32` indices into the arenas of a
+//! Both [`NodeId`] and [`EdgeId`] are thin dense `u32` indices into a
 //! [`Graph`](crate::Graph). They are deliberately cheap to copy and order so
 //! that analyses can use them as array indices via [`NodeId::index`] /
 //! [`EdgeId::index`].

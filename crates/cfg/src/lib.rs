@@ -5,8 +5,9 @@
 //! Pingali's *"The Program Structure Tree: Computing Control Regions in
 //! Linear Time"* (PLDI 1994) builds upon:
 //!
-//! * [`Graph`] — an arena-based directed **multigraph** (parallel edges and
-//!   self-loops allowed) with dense [`NodeId`]/[`EdgeId`] indices,
+//! * [`Graph`] — a directed **multigraph** (parallel edges and self-loops
+//!   allowed) with dense [`NodeId`]/[`EdgeId`] indices, stored as one flat
+//!   edge array plus compressed-row adjacency built on first query,
 //! * [`Cfg`] — a validated control flow graph with unique `entry`/`exit`
 //!   satisfying the paper's Definition 1,
 //! * [`canonicalize`] — a repair pass that turns an *arbitrary* digraph
@@ -19,7 +20,9 @@
 //! * [`reducibility`] / [`is_reducible`] — the reducibility test used by
 //!   the region classifier, with irreducible retreating edges as witness,
 //! * [`EdgeSplit`] — the edge-subdivision transform used as a definitional
-//!   oracle for edge dominance, and
+//!   oracle for edge dominance,
+//! * [`group_rows`] — grouping into compressed rows, the layout of
+//!   [`Graph`]'s adjacency and of the core's flat arrays, and
 //! * DOT export helpers for debugging and the examples.
 //!
 //! # Examples
@@ -55,6 +58,7 @@ mod cfg;
 mod dfs;
 mod dot;
 mod graph;
+mod group;
 mod ids;
 mod reducibility;
 mod scc;
@@ -62,7 +66,7 @@ mod split;
 mod undirected;
 
 pub use canonicalize::{
-    canonicalize, CanonicalizationReport, Canonicalized, CanonicalizeError, CanonicalizeOptions,
+    canonicalize, CanonicalizationReport, CanonicalizeError, CanonicalizeOptions, Canonicalized,
     Repair, RepairCounts, UnreachablePolicy,
 };
 pub use cfg::{
@@ -72,6 +76,7 @@ pub use cfg::{
 pub use dfs::{Dfs, DirectedEdgeKind};
 pub use dot::{cfg_to_dot, graph_to_dot, graph_to_dot_with};
 pub use graph::Graph;
+pub use group::group_rows;
 pub use ids::{EdgeId, NodeId};
 pub use reducibility::{is_reducible, reducibility, Reducibility};
 pub use scc::{is_strongly_connected, Sccs};

@@ -127,6 +127,16 @@ fn parse_errors_exit_1_with_position() {
 }
 
 #[test]
+fn a_huge_node_number_is_a_parse_error_not_an_abort() {
+    // Parsing once created every node up to the largest number named:
+    // 4·10⁹ nodes, an allocation that aborted the process (exit 134).
+    let (_, err, code) = run(&["--canonicalize", "-"], Some("0->4000000000\n"));
+    assert_eq!(code, 1, "{err}");
+    assert!(err.contains("parse error"), "{err}");
+    assert!(err.contains("`0->4000000000` at byte 0"), "{err}");
+}
+
+#[test]
 fn usage_errors_exit_2() {
     let (_, err, code) = run(&["frobnicate", "-"], Some(SAMPLE));
     assert_eq!(code, 2);

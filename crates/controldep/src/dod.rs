@@ -30,7 +30,7 @@
 
 use pst_cfg::{Graph, NodeId, Sccs};
 
-use crate::ntscd::{branch_nodes, inevitable_to_into};
+use crate::ntscd::{branch_nodes, Inevitability};
 
 /// Default work budget for [`Dod::compute`], in propagation-step
 /// units (one unit ≈ one `O(N + E)` pass). Generous for every graph
@@ -106,8 +106,7 @@ impl Dod {
         let mut witnesses: Vec<DodWitness> = Vec::new();
         let mut complete = true;
         // Scratch shared by every propagation.
-        let mut needed = vec![0u32; n];
-        let mut worklist: Vec<NodeId> = Vec::with_capacity(n);
+        let mut propagation = Inevitability::new(graph);
         let mut ord_ab = vec![false; n];
         let mut ord_ba = vec![false; n];
         let mut inevitable = vec![false; n];
@@ -131,7 +130,7 @@ impl Dod {
                     break 'outer;
                 }
                 props_left -= 1;
-                inevitable_to_into(graph, w, None, &mut inevitable, &mut needed, &mut worklist);
+                propagation.fill(w, None, &mut inevitable);
                 for (k, (p, _)) in branches.iter().enumerate() {
                     if inevitable[p.index()] {
                         row[k / 64] |= 1 << (k % 64);
@@ -153,8 +152,8 @@ impl Dod {
                     }
                     props_left -= 2;
                     pairs_checked += 1;
-                    inevitable_to_into(graph, a, Some(b), &mut ord_ab, &mut needed, &mut worklist);
-                    inevitable_to_into(graph, b, Some(a), &mut ord_ba, &mut needed, &mut worklist);
+                    propagation.fill(a, Some(b), &mut ord_ab);
+                    propagation.fill(b, Some(a), &mut ord_ba);
                     for (wi, mut bits) in both().enumerate() {
                         while bits != 0 {
                             let (p, succs) = &branches[wi * 64 + bits.trailing_zeros() as usize];

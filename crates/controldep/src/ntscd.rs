@@ -68,11 +68,10 @@ impl Ntscd {
         let branches = branch_nodes(graph);
         let mut deps: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         let mut inevitable = vec![false; n];
-        let mut needed: Vec<u32> = vec![0; n];
-        let mut worklist: Vec<NodeId> = Vec::with_capacity(n);
+        let mut propagation = Inevitability::new(graph);
         let mut deps_total = 0u64;
         for w in graph.nodes() {
-            inevitable_to_into(graph, w, None, &mut inevitable, &mut needed, &mut worklist);
+            propagation.fill(w, None, &mut inevitable);
             for (p, succs) in &branches {
                 let mut any_in = false;
                 let mut any_out = false;
@@ -149,60 +148,71 @@ pub(crate) fn branch_nodes(graph: &Graph) -> Vec<(NodeId, Vec<NodeId>)> {
     branches
 }
 
-/// Fills `inevitable` with the set `{x : every maximal path from x
-/// contains w}` by backward counter propagation. When `blocked` is
-/// set, that node is treated as a sink (its out-edges ignored, never
-/// marked) — this turns the predicate into *"every maximal path from
-/// x reaches w before touching `blocked`"*, the primitive the DOD
-/// first-occurrence-order test is built from. `needed` and `worklist`
-/// are caller-provided scratch so repeated targets reuse allocations.
-pub(crate) fn inevitable_to_into(
-    graph: &Graph,
-    w: NodeId,
-    blocked: Option<NodeId>,
-    inevitable: &mut [bool],
-    needed: &mut [u32],
-    worklist: &mut Vec<NodeId>,
-) {
-    debug_assert_ne!(Some(w), blocked);
-    inevitable.fill(false);
-    for x in graph.nodes() {
-        needed[x.index()] = graph.out_degree(x) as u32;
-    }
-    worklist.clear();
-    inevitable[w.index()] = true;
-    worklist.push(w);
-    while let Some(x) = worklist.pop() {
-        for &e in graph.in_edges(x) {
-            let p = graph.source(e);
-            if inevitable[p.index()] || Some(p) == blocked {
-                continue;
-            }
-            // Each in-edge into the marked set is consumed exactly
-            // once, so the counter reaches zero iff *all* out-edges of
-            // `p` lead to marked nodes.
-            needed[p.index()] -= 1;
-            if needed[p.index()] == 0 {
-                inevitable[p.index()] = true;
-                worklist.push(p);
-            }
+/// Backward counter propagation over one graph, with the scratch every
+/// propagation reuses. The out-degrees the counters start from are read
+/// once here, so a propagation costs only the edges it consumes plus one
+/// copy of the counters.
+pub(crate) struct Inevitability<'g> {
+    graph: &'g Graph,
+    out_degrees: Vec<u32>,
+    needed: Vec<u32>,
+    worklist: Vec<NodeId>,
+}
+
+impl<'g> Inevitability<'g> {
+    pub(crate) fn new(graph: &'g Graph) -> Self {
+        let out_degrees: Vec<u32> = graph.nodes().map(|x| graph.out_degree(x) as u32).collect();
+        Inevitability {
+            graph,
+            needed: vec![0; out_degrees.len()],
+            out_degrees,
+            worklist: Vec::with_capacity(graph.node_count()),
         }
     }
-    // A sink other than `w` starts with counter 0 but is never pushed:
-    // its one maximal path is itself, which avoids `w`. Marking happens
-    // only via edge consumption, so sinks (and the blocked node) stay
-    // out.
+
+    /// Fills `inevitable` with the set `{x : every maximal path from x
+    /// contains w}`. When `blocked` is set, that node is treated as a
+    /// sink (its out-edges ignored, never marked) — this turns the
+    /// predicate into *"every maximal path from x reaches w before
+    /// touching `blocked`"*, the primitive the DOD first-occurrence-order
+    /// test is built from.
+    pub(crate) fn fill(&mut self, w: NodeId, blocked: Option<NodeId>, inevitable: &mut [bool]) {
+        debug_assert_ne!(Some(w), blocked);
+        let (graph, needed, worklist) = (self.graph, &mut self.needed, &mut self.worklist);
+        inevitable.fill(false);
+        needed.copy_from_slice(&self.out_degrees);
+        worklist.clear();
+        inevitable[w.index()] = true;
+        worklist.push(w);
+        while let Some(x) = worklist.pop() {
+            for &e in graph.in_edges(x) {
+                let p = graph.source(e);
+                if inevitable[p.index()] || Some(p) == blocked {
+                    continue;
+                }
+                // Each in-edge into the marked set is consumed exactly
+                // once, so the counter reaches zero iff *all* out-edges of
+                // `p` lead to marked nodes.
+                needed[p.index()] -= 1;
+                if needed[p.index()] == 0 {
+                    inevitable[p.index()] = true;
+                    worklist.push(p);
+                }
+            }
+        }
+        // A sink other than `w` starts with counter 0 but is never pushed:
+        // its one maximal path is itself, which avoids `w`. Marking happens
+        // only via edge consumption, so sinks (and the blocked node) stay
+        // out.
+    }
 }
 
 /// Standalone convenience for tests: the inevitability set of one
 /// target as a boolean side table.
 #[cfg(test)]
 pub(crate) fn inevitable_to(graph: &Graph, w: NodeId) -> Vec<bool> {
-    let n = graph.node_count();
-    let mut inevitable = vec![false; n];
-    let mut needed = vec![0u32; n];
-    let mut worklist = Vec::new();
-    inevitable_to_into(graph, w, None, &mut inevitable, &mut needed, &mut worklist);
+    let mut inevitable = vec![false; graph.node_count()];
+    Inevitability::new(graph).fill(w, None, &mut inevitable);
     inevitable
 }
 

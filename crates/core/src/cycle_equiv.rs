@@ -45,10 +45,9 @@
 use std::error::Error;
 use std::fmt;
 
-use pst_cfg::{EdgeId, Graph, NodeId};
+use pst_cfg::{group_rows, EdgeId, Graph, NodeId};
 
 use crate::bracket::{BracketArena, BracketId, BracketList, NONE};
-use crate::group::group_rows;
 
 /// Why cycle equivalence could not be computed for an input graph.
 ///

@@ -50,7 +50,6 @@ mod collapse;
 mod control_regions;
 mod cycle_equiv;
 mod dot;
-mod group;
 mod incremental;
 mod pst;
 mod sese;

@@ -8,9 +8,8 @@
 //! whole procedure, so every node/edge has an owning region even outside
 //! any canonical SESE pair.
 
-use pst_cfg::{Cfg, Dfs, DirectedEdgeKind, EdgeId, NodeId};
+use pst_cfg::{group_rows, Cfg, Dfs, DirectedEdgeKind, EdgeId, NodeId};
 
-use crate::group::group_rows;
 use crate::sese::{detect, CanonicalRegions, SeseRegion};
 
 /// Identifier of a region in a [`ProgramStructureTree`].
@@ -133,7 +132,7 @@ impl ProgramStructureTree {
             regions.push(RegionData {
                 bounds: Some(r),
                 parent: None,
-                    depth: 0,
+                depth: 0,
                 pre: 0,
                 post: 0,
             });

@@ -8,10 +8,9 @@
 //! dominance, any directed DFS of `G` meets them in that order, and each
 //! adjacent pair bounds a canonical region (Definition 5).
 
-use pst_cfg::{Cfg, Dfs, EdgeId};
+use pst_cfg::{group_rows, Cfg, Dfs, EdgeId};
 
 use crate::cycle_equiv::raw_classes;
-use crate::group::group_rows;
 use crate::CycleEquiv;
 
 /// One canonical SESE region, identified by its entry and exit edges.

@@ -3,7 +3,8 @@
 //! milliseconds (a scan that re-validated the rest of the document per
 //! char took seconds), and sequential round trips over TCP from a plain
 //! client never wait out a delayed ACK (a reply written as line, then
-//! newline, cost ≈40 ms each).
+//! newline, cost ≈40 ms each). An edge list naming a huge node number
+//! is an error reply, not an allocation that aborts the daemon.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -157,4 +158,49 @@ fn fifty_tcp_round_trips_take_well_under_a_delayed_ack_each() {
         elapsed < Duration::from_secs(1),
         "50 round trips took {elapsed:?}"
     );
+}
+
+/// An `edges` request naming node 4·10⁹. Parsing once created every node
+/// up to the largest number named, and the allocation aborted the
+/// daemon.
+const HUGE_NODE: &str = r#"{"id": 2, "method": "pst", "edges": "0->4000000000"}"#;
+
+fn huge_node_error(line: &str) {
+    let reply = Json::parse(line).expect("replies are JSON");
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{line}");
+    let error = reply.get("error").expect("error envelope");
+    assert_eq!(
+        error.get("code"),
+        Some(&Json::Str("analysis_error".to_string())),
+        "{line}"
+    );
+    assert!(line.contains("0->4000000000"), "{line}");
+}
+
+#[test]
+fn a_huge_node_number_gets_a_structured_error() {
+    let mut session = Session::new(ServeConfig::default());
+    huge_node_error(&session.handle_line(HUGE_NODE).line);
+}
+
+#[test]
+fn a_tcp_daemon_answers_on_after_a_huge_node_number() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let server = std::thread::spawn(move || serve_listener(ServeConfig::default(), listener));
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut ask = |line: &str| {
+        writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        reply
+    };
+    huge_node_error(&ask(HUGE_NODE));
+    ok(&ask(&request(3, "pst", "edges", "0->1\n1->2\n")));
+    ask(r#"{"method": "shutdown"}"#);
+    server.join().expect("server thread").expect("server");
 }

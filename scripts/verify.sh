@@ -84,6 +84,19 @@ echo "$canon" | grep -q "paranoid: all 7 invariant checkers passed" \
     || { echo "FAIL: --paranoid did not run the checker battery"; exit 1; }
 echo "canonicalize OK"
 
+echo "== smoke: pst --canonicalize input bound =="
+# Parsing allocates O(input bytes): naming node 4e9 is a parse error
+# (exit 1), where creating every node up to it aborted the CLI (134).
+set +e
+huge_out=$(printf '0->4000000000\n' | ./target/release/pst --canonicalize - 2>&1)
+code=$?
+set -e
+[ "$code" -eq 1 ] \
+    || { echo "FAIL: a huge node number should exit 1, got $code"; exit 1; }
+echo "$huge_out" | grep -q "parse error: node number 4000000000" \
+    || { echo "FAIL: no parse error for a huge node number: $huge_out"; exit 1; }
+echo "input bound OK"
+
 echo "== smoke: pst fuzz (clean seeds, full checker battery) =="
 # A fixed seed range through the whole pipeline with every pst-verify
 # checker enabled must report zero violations and zero contained panics.
@@ -182,6 +195,27 @@ for i in range(50):
         raise AssertionError(f"{fault}: request {i} never answered")
 assert answered == 50, f"{fault}: only {answered} of 50 answered"
 assert daemon.poll() is None, f"{fault}: daemon died during the batch"
+# An edge list naming node 4e9 is a structured analysis error: parsing
+# once created every node up to it and the allocation aborted the
+# daemon. Chaos may drop, shed or panic the request first; retry.
+huge = b'{"id":98,"method":"pst","edges":"0->4000000000"}\n'
+for attempt in range(8):
+    try:
+        sock.sendall(huge)
+        line = reader.readline()
+    except OSError:
+        line = ""
+    if not line:
+        assert daemon.poll() is None, f"{fault}: daemon died on a huge node"
+        sock, reader = connect()
+        continue
+    reply = json.loads(line)
+    assert reply.get("id") == 98 and reply.get("ok") is False, (fault, reply)
+    if reply["error"]["code"] == "analysis_error":
+        break
+    time.sleep(reply["error"].get("retry_after_ms", 0) / 1000)
+else:
+    raise AssertionError(f"{fault}: the huge node request never answered")
 sock.sendall(b'{"id":99,"method":"stats"}\n')
 stats = json.loads(reader.readline())
 assert stats["ok"], (fault, stats)

@@ -156,3 +156,88 @@ fn full_pipeline_produces_the_expected_span_tree() {
         "cycle_equiv must be nested inside the pst span"
     );
 }
+
+/// `graph_adjacency_builds` over one run of `f`, on a reset registry.
+fn adjacency_builds(f: impl FnOnce()) -> u64 {
+    pst_obs::reset();
+    f();
+    pst_obs::report().counter("graph_adjacency_builds")
+}
+
+/// `Graph` builds its adjacency index on the first query after a
+/// mutation, so a builder that alternated the two inside a loop would
+/// rebuild it once per step, quadratically. Each path here mutates in
+/// phases: its build count is the same for 1k and 10k nodes.
+#[test]
+fn adjacency_index_builds_do_not_grow_with_input_size() {
+    let _l = locked();
+    let messy = |nodes: usize| {
+        let config = pst_workloads::DigraphConfig {
+            nodes,
+            edges: nodes * 3 / 2,
+            force_entry_predecessor: true,
+            force_unreachable: true,
+            force_infinite_loop: true,
+            force_multiple_exits: true,
+            force_self_loop: true,
+        };
+        pst_workloads::random_digraph(&config, 1994)
+    };
+    let program = |stmts: usize| pst_lang::Program {
+        functions: vec![pst_workloads::generate_function(
+            "large",
+            &pst_workloads::ProgramGenConfig {
+                target_stmts: stmts,
+                ..Default::default()
+            },
+            1994,
+        )],
+    };
+    let cfg = |nodes: usize| random_cfg(nodes, nodes / 2, 1994).unwrap();
+    let paths: [(&str, &dyn Fn(usize) -> u64); 5] = [
+        ("canonicalize", &|n| {
+            let (graph, entry) = messy(n);
+            let options = pst_cfg::CanonicalizeOptions::default();
+            adjacency_builds(|| {
+                pst_cfg::canonicalize(&graph, entry, &options).unwrap();
+            })
+        }),
+        ("random_cfg", &|n| {
+            adjacency_builds(|| {
+                cfg(n);
+            })
+        }),
+        ("lower_program", &|n| {
+            let program = program(n);
+            adjacency_builds(|| {
+                let lowered = pst_lang::lower_program(&program).unwrap();
+                assert!(lowered[0].cfg.node_count() >= n / 4, "function too small");
+            })
+        }),
+        ("EdgeSplit::of_cfg", &|n| {
+            let cfg = cfg(n);
+            adjacency_builds(|| {
+                let split = pst_cfg::EdgeSplit::of_cfg(&cfg);
+                let g = split.graph();
+                assert!(g.nodes().all(|v| g.in_degree(v) <= n));
+            })
+        }),
+        ("insert_edge", &|n| {
+            let cfg = cfg(n);
+            let pst = pst_core::ProgramStructureTree::build(&cfg);
+            let u = pst_cfg::NodeId::from_index(n / 2);
+            let v = pst_cfg::NodeId::from_index(n / 2 + 1);
+            adjacency_builds(|| {
+                pst_core::insert_edge(&cfg, &pst, u, v).unwrap();
+            })
+        }),
+    ];
+    for (name, builds) in paths {
+        let (small, large) = (builds(1_000), builds(10_000));
+        assert!(small > 0, "{name}: no index built; is the obs feature on?");
+        assert!(
+            large <= small,
+            "{name}: {large} index builds at 10k nodes against {small} at 1k"
+        );
+    }
+}
