@@ -3,29 +3,24 @@
 //! (`PST-C1xx`) built on the termination-sensitive NTSCD/DOD relations
 //! from `pst-controldep` (see `docs/CONTROLDEP.md`).
 
-use pst_cfg::{Canonicalized, Cfg, Graph, NodeId, Repair, Sccs};
-use pst_controldep::{ClassicControlDeps, Dod, StrongControlDeps, DEFAULT_DOD_BUDGET};
-use pst_core::ControlRegions;
-use pst_lang::LoweredFunction;
+use pst_cfg::{Canonicalized, Graph, NodeId, Repair, Sccs};
+use pst_controldep::ClassicControlDeps;
 
 use crate::diag::Diagnostic;
 use crate::engine::Sink;
+use crate::Analysis;
 
 /// `PST-C001` — a conditional branch all of whose successors sit in the
 /// branch's own control region. Every successor executes exactly when the
 /// branch does, so the condition selects nothing (Theorem 7: control
 /// regions are the equivalence classes of "executes under the same
 /// conditions").
-pub(crate) fn vacuous_branches(
-    cfg: &Cfg,
-    regions: &ControlRegions,
-    f: Option<&LoweredFunction>,
-    sink: &mut Sink<'_>,
-) {
+pub(crate) fn vacuous_branches(analysis: &Analysis<'_>, sink: &mut Sink<'_>) {
     let Some(rule) = sink.rule("PST-C001") else {
         return;
     };
-    let graph = cfg.graph();
+    let (f, regions) = (analysis.function(), analysis.control_regions());
+    let graph = analysis.cfg().graph();
     pst_obs::counter!(
         "lint_controldep_work",
         (graph.node_count() + graph.edge_count()) as u64
@@ -60,14 +55,11 @@ pub(crate) fn vacuous_branches(
 /// falling straight back into the branch's own control region: the arm
 /// exists only to do nothing (`if (c) { }`, `while (c) { }` with an empty
 /// body).
-pub(crate) fn empty_branch_arms(
-    f: &LoweredFunction,
-    regions: &ControlRegions,
-    sink: &mut Sink<'_>,
-) {
+pub(crate) fn empty_branch_arms(analysis: &Analysis<'_>, sink: &mut Sink<'_>) {
     let Some(rule) = sink.rule("PST-C002") else {
         return;
     };
+    let (f, regions) = (analysis.expect_function(), analysis.control_regions());
     let graph = f.cfg.graph();
     pst_obs::counter!(
         "lint_controldep_work",
@@ -121,10 +113,11 @@ pub(crate) fn empty_branch_arms(
 /// are strongly (termination-sensitively) but not classically control
 /// dependent on the guard — the code that silently relies on this loop
 /// finishing.
-pub(crate) fn invariant_loop_guards(f: &LoweredFunction, sink: &mut Sink<'_>) {
+pub(crate) fn invariant_loop_guards(analysis: &Analysis<'_>, sink: &mut Sink<'_>) {
     let Some(rule) = sink.rule("PST-C101") else {
         return;
     };
+    let f = analysis.expect_function();
     let graph = f.cfg.graph();
     pst_obs::counter!(
         "lint_strongdep_work",
@@ -137,7 +130,6 @@ pub(crate) fn invariant_loop_guards(f: &LoweredFunction, sink: &mut Sink<'_>) {
         .map(|b| b.stmts.iter().filter_map(|s| s.def).collect())
         .collect();
     let mut active = vec![true; n];
-    let mut strong: Option<StrongControlDeps> = None;
     loop {
         // SCCs of the subgraph induced by the still-active nodes. Node ids
         // are preserved, so components translate back directly.
@@ -208,9 +200,7 @@ pub(crate) fn invariant_loop_guards(f: &LoweredFunction, sink: &mut Sink<'_>) {
                 changed = true;
             } else {
                 let g0 = dead_guards[0];
-                let strong =
-                    strong.get_or_insert_with(|| StrongControlDeps::of_cfg(&f.cfg));
-                let waiting = strong.termination_sensitive_deps(g0).len();
+                let waiting = analysis.strong().termination_sensitive_deps(g0).len();
                 let mut vars: Vec<&str> = dead_guards
                     .iter()
                     .flat_map(|&g| f.blocks[g.index()].branch_uses.iter())
@@ -334,24 +324,18 @@ pub(crate) fn synthetic_termination_dependence(
 /// `PST-C103` (graph inputs) — decisive order dependence: a branch that
 /// does not decide *whether* two nodes execute (they always both do) but
 /// does decide *in which order*. Computed by the DOD relation on the raw
-/// input graph (`dod`, or computed here when the caller has none); one
-/// finding per deciding branch, witnesses aggregated.
-pub(crate) fn order_dependent_pairs(graph: &Graph, dod: Option<&Dod>, sink: &mut Sink<'_>) {
+/// input graph ([`Analysis::dod`]); one finding per deciding branch,
+/// witnesses aggregated.
+pub(crate) fn order_dependent_pairs(analysis: &Analysis<'_>, sink: &mut Sink<'_>) {
     let Some(rule) = sink.rule("PST-C103") else {
         return;
     };
+    let graph = analysis.input_graph();
     pst_obs::counter!(
         "lint_strongdep_work",
         (graph.node_count() + graph.edge_count()) as u64
     );
-    let computed;
-    let dod = match dod {
-        Some(dod) => dod,
-        None => {
-            computed = Dod::compute_budgeted(graph, DEFAULT_DOD_BUDGET);
-            &computed
-        }
-    };
+    let dod = analysis.dod();
     if dod.is_empty() {
         return;
     }

@@ -2,40 +2,27 @@
 //!
 //! `PST-D001` and `PST-D002` read the same all-variable reaching
 //! definitions, solved once per function through the quick propagation
-//! graph (falling back to the iterative solver when the PST admits no
-//! QPG; both reach the same fixed point, so the fallback never changes
-//! what the rules report). D001's question — does any definition of `v`
-//! reach `n`? — is the projection of that solution onto `v`'s sites.
+//! graph ([`Analysis::reaching_definitions`]). D001's question — does
+//! any definition of `v` reach `n`? — is the projection of that solution
+//! onto `v`'s sites.
 
 use pst_cfg::NodeId;
-use pst_core::ProgramStructureTree;
-use pst_dataflow::{solve_iterative, QpgContext, ReachingDefinitions, Solution};
+use pst_dataflow::{ReachingDefinitions, Solution};
 use pst_lang::{LoweredFunction, SrcPos, VarId};
 
 use crate::diag::{Diagnostic, Rule};
 use crate::engine::Sink;
+use crate::Analysis;
 
-/// `PST-D001` and `PST-D002` over `f`: one all-variable reaching
-/// definitions problem, solved once (sparsely via the QPG of its
-/// definition blocks), feeds both.
-pub(crate) fn reaching_definition_rules(
-    f: &LoweredFunction,
-    pst: &ProgramStructureTree,
-    sink: &mut Sink<'_>,
-) {
+/// `PST-D001` and `PST-D002` over the function of `analysis`: both read
+/// its one all-variable reaching-definitions solution.
+pub(crate) fn reaching_definition_rules(analysis: &Analysis<'_>, sink: &mut Sink<'_>) {
     // `Sink::rule` records a rule once, so `rules_over` may ask again.
     if sink.rule("PST-D001").is_none() && sink.rule("PST-D002").is_none() {
         return;
     }
-    let rd = ReachingDefinitions::new(f);
-    let solution = (!rd.sites().is_empty()).then(|| {
-        let site_nodes: Vec<NodeId> = rd.sites().iter().map(|s| s.node).collect();
-        // The iterative fallback reaches the same fixed point.
-        QpgContext::new(&f.cfg, pst)
-            .and_then(|ctx| ctx.solve(&ctx.build_from_sites(&site_nodes)?, &rd))
-            .unwrap_or_else(|_| solve_iterative(&f.cfg, &rd))
-    });
-    rules_over(f, &rd, solution.as_ref(), sink);
+    let (rd, solution) = analysis.reaching_definitions();
+    rules_over(analysis.expect_function(), rd, solution, sink);
 }
 
 /// Runs the enabled D rules over `rd` and its `solution` (`None` when `rd`

@@ -2,13 +2,11 @@
 //! a raw graph and collects the findings into a [`LintReport`].
 
 use pst_cfg::{canonicalize, Canonicalized, CanonicalizeError, CanonicalizeOptions, Graph, NodeId};
-use pst_controldep::Dod;
-use pst_core::{ControlRegions, ProgramStructureTree};
 use pst_dataflow::{ReachingDefinitions, Solution};
 use pst_lang::{Function, LoweredFunction};
 
 use crate::diag::{find_rule, Diagnostic, LintConfig, LintReport, Rule, Severity};
-use crate::{controldep, dataflow, structural};
+use crate::{controldep, dataflow, structural, Analysis};
 
 /// Accumulates diagnostics while the rules run. Each rule begins by asking
 /// [`Sink::rule`] for its catalog entry; a `None` answer means the rule is
@@ -61,12 +59,36 @@ impl<'a> Sink<'a> {
     }
 }
 
-/// Lints one lowered function.
-///
-/// Pass the source AST as `ast` when the function came from the
-/// mini-language front end; it enables the rules that need statement-level
-/// information (`PST-S003` on mini inputs). Diagnostics carry source
-/// positions whenever the lowered side tables kept them.
+/// Runs every enabled rule that applies to `analysis`'s unit, reading
+/// the stages the rules share from it, and collects the findings. A
+/// graph unit runs every rule that needs no statements; a function's AST,
+/// when present, enables the statement-level ones (`PST-S003` on mini
+/// inputs). Diagnostics carry source positions whenever the lowered side
+/// tables kept them.
+pub fn lint(analysis: &Analysis<'_>, config: &LintConfig) -> LintReport {
+    let _span = pst_obs::Span::enter("lint");
+    let mut sink = Sink::new(config);
+    structural::irreducible_loops(analysis.cfg(), &mut sink);
+    structural::multi_entry_loops(analysis.cfg(), &mut sink);
+    if let Some(canonical) = analysis.canonical() {
+        structural::unreachable_nodes(&canonical.report, &mut sink);
+        structural::infinite_regions(&canonical.report, &mut sink);
+        controldep::vacuous_branches(analysis, &mut sink);
+        controldep::synthetic_termination_dependence(analysis.input_graph(), canonical, &mut sink);
+        controldep::order_dependent_pairs(analysis, &mut sink);
+    } else {
+        structural::unreachable_statements(analysis, &mut sink);
+        structural::bureaucratic_regions(analysis, &mut sink);
+        controldep::vacuous_branches(analysis, &mut sink);
+        controldep::empty_branch_arms(analysis, &mut sink);
+        controldep::invariant_loop_guards(analysis, &mut sink);
+        dataflow::reaching_definition_rules(analysis, &mut sink);
+    }
+    sink.into_report()
+}
+
+/// Lints one lowered function (and its AST, when the front end made
+/// one): [`lint`] over a fresh [`Analysis`].
 ///
 /// # Examples
 ///
@@ -85,29 +107,15 @@ pub fn lint_function(
     ast: Option<&Function>,
     config: &LintConfig,
 ) -> LintReport {
-    let _span = pst_obs::Span::enter("lint");
-    let pst = ProgramStructureTree::build(&f.cfg);
-    let regions = ControlRegions::compute(&f.cfg);
-    let mut sink = Sink::new(config);
-    structural::irreducible_loops(&f.cfg, &mut sink);
-    structural::multi_entry_loops(&f.cfg, &mut sink);
-    if let Some(ast) = ast {
-        structural::unreachable_statements(f, ast, &mut sink);
-    }
-    structural::bureaucratic_regions(f, &pst, &mut sink);
-    controldep::vacuous_branches(&f.cfg, &regions, Some(f), &mut sink);
-    controldep::empty_branch_arms(f, &regions, &mut sink);
-    controldep::invariant_loop_guards(f, &mut sink);
-    dataflow::reaching_definition_rules(f, &pst, &mut sink);
-    sink.into_report()
+    lint(&Analysis::of_function(f, ast), config)
 }
 
-/// Runs the dataflow rules (`PST-D001`, `PST-D002`) of [`lint_function`]
-/// over a caller-supplied reaching-definitions `solution` for `rd`.
+/// Runs the dataflow rules (`PST-D001`, `PST-D002`) of [`lint`] over a
+/// caller-supplied reaching-definitions `solution` for `rd`.
 ///
-/// `lint_function` feeds these rules its own solve; this entry point lets
-/// a test hand them a deliberately perturbed solution and check that an
-/// independent oracle notices.
+/// [`lint`] feeds these rules [`Analysis::reaching_definitions`]; this
+/// entry point lets a test hand them a deliberately perturbed solution
+/// and check that an independent oracle notices.
 pub fn lint_dataflow(
     f: &LoweredFunction,
     rd: &ReachingDefinitions,
@@ -132,8 +140,8 @@ pub struct GraphLint {
     pub canonical: Canonicalized,
 }
 
-/// Lints a raw graph: canonicalizes it, then runs every rule that does not
-/// need statement-level information (see [`lint_canonicalized`]).
+/// Lints a raw graph: canonicalizes it, then runs [`lint`] over the
+/// graph unit.
 ///
 /// # Errors
 ///
@@ -146,34 +154,8 @@ pub fn lint_graph(
     config: &LintConfig,
 ) -> Result<GraphLint, CanonicalizeError> {
     let canonical = canonicalize(graph, entry, options)?;
-    let report = lint_canonicalized(graph, &canonical, None, config);
+    let report = lint(&Analysis::of_graph(graph, &canonical), config);
     Ok(GraphLint { report, canonical })
-}
-
-/// Lints a raw graph whose canonicalization `canonical` the caller
-/// already holds — the entry point behind [`lint_graph`], and the one a
-/// driver that keeps graph artifacts around (the serve daemon) calls.
-///
-/// `dod` is the graph's decisive order dependence computed with
-/// [`pst_controldep::DEFAULT_DOD_BUDGET`], if the caller has it; when
-/// `None`, `PST-C103` computes it.
-pub fn lint_canonicalized(
-    graph: &Graph,
-    canonical: &Canonicalized,
-    dod: Option<&Dod>,
-    config: &LintConfig,
-) -> LintReport {
-    let _span = pst_obs::Span::enter("lint");
-    let mut sink = Sink::new(config);
-    structural::irreducible_loops(&canonical.cfg, &mut sink);
-    structural::multi_entry_loops(&canonical.cfg, &mut sink);
-    structural::unreachable_nodes(&canonical.report, &mut sink);
-    structural::infinite_regions(&canonical.report, &mut sink);
-    let regions = ControlRegions::compute(&canonical.cfg);
-    controldep::vacuous_branches(&canonical.cfg, &regions, None, &mut sink);
-    controldep::synthetic_termination_dependence(graph, canonical, &mut sink);
-    controldep::order_dependent_pairs(graph, dod, &mut sink);
-    sink.into_report()
 }
 
 /// Renders `graph` as DOT with the nodes and edges named by `report`'s

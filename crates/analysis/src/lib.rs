@@ -1,4 +1,5 @@
-//! Rule-based structural lint engine over the PST pipeline's artifacts.
+//! The compute-once [`Analysis`] every driver reads its pipeline stages
+//! from, and the rule-based structural lint engine over them.
 //!
 //! Every analysis this workspace computes — canonicalization repairs,
 //! SESE regions, control regions (Theorem 7 of the PST paper), loop
@@ -11,9 +12,11 @@
 //! * a catalog of rules with stable ids ([`RULES`]), each with a default
 //!   [`Severity`] that `--allow`/`--deny` style overrides can adjust
 //!   ([`LintConfig`]);
-//! * a driver that runs every enabled rule over a lowered mini-language
-//!   function ([`lint_function`]) or a raw edge-list graph
-//!   ([`lint_graph`]) and returns a [`LintReport`];
+//! * one driver, [`lint`], that runs every enabled rule over an
+//!   [`Analysis`] of a lowered mini-language function or a raw edge-list
+//!   graph, reading the stages it shares with the unit's other consumers,
+//!   and returns a [`LintReport`] ([`lint_function`] and [`lint_graph`]
+//!   are its one-call forms);
 //! * human and machine-readable rendering ([`LintReport::render_text`],
 //!   [`LintReport::to_json`]) plus a DOT export that highlights flagged
 //!   nodes and edges ([`dot_with_findings`]).
@@ -55,14 +58,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod analysis;
 mod controldep;
 mod dataflow;
 mod diag;
 mod engine;
 mod structural;
 
+pub use analysis::Analysis;
 pub use diag::{find_rule, Diagnostic, LintConfig, LintReport, Rule, Severity, RULES};
-pub use engine::{
-    dot_with_findings, lint_canonicalized, lint_dataflow, lint_function, lint_graph, GraphLint,
-};
+pub use engine::{dot_with_findings, lint, lint_dataflow, lint_function, lint_graph, GraphLint};
 pub use structural::ast_statement_count;

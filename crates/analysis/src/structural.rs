@@ -2,11 +2,11 @@
 //! unreachable/infinite regions, bureaucratic PST chains.
 
 use pst_cfg::{reducibility, Cfg, CanonicalizationReport, Repair, Sccs};
-use pst_core::ProgramStructureTree;
-use pst_lang::{Block, Function, LoweredFunction, Stmt};
+use pst_lang::{Block, Function, Stmt};
 
 use crate::diag::Diagnostic;
 use crate::engine::Sink;
+use crate::Analysis;
 
 /// `PST-S001` — every irreducible retreating edge is a witness.
 pub(crate) fn irreducible_loops(cfg: &Cfg, sink: &mut Sink<'_>) {
@@ -108,11 +108,10 @@ fn block_statement_count(b: &Block) -> usize {
 
 /// `PST-S003` (mini inputs) — statements the lowerer pruned because no
 /// entry-to-exit path executes them.
-pub(crate) fn unreachable_statements(
-    f: &LoweredFunction,
-    ast: &Function,
-    sink: &mut Sink<'_>,
-) {
+pub(crate) fn unreachable_statements(analysis: &Analysis<'_>, sink: &mut Sink<'_>) {
+    let (Some(f), Some(ast)) = (analysis.function(), analysis.ast()) else {
+        return;
+    };
     let Some(rule) = sink.rule("PST-S003") else {
         return;
     };
@@ -207,14 +206,11 @@ pub(crate) fn infinite_regions(report: &CanonicalizationReport, sink: &mut Sink<
 /// `PST-S005` (mini inputs) — chains of single-node canonical regions
 /// whose nodes carry no statements and no branch: pure plumbing, usually
 /// label ladders.
-pub(crate) fn bureaucratic_regions(
-    f: &LoweredFunction,
-    pst: &ProgramStructureTree,
-    sink: &mut Sink<'_>,
-) {
+pub(crate) fn bureaucratic_regions(analysis: &Analysis<'_>, sink: &mut Sink<'_>) {
     let Some(rule) = sink.rule("PST-S005") else {
         return;
     };
+    let (f, pst) = (analysis.expect_function(), analysis.pst());
     let graph = f.cfg.graph();
     pst_obs::counter!(
         "lint_structural_work",

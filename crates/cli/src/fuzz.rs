@@ -13,6 +13,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
+use pst_analysis::Analysis;
 use pst_cfg::{canonicalize, CanonicalizeOptions, Graph, NodeId};
 use pst_verify::{
     compute_artifacts_for_cfg, verify_artifacts, verify_strong_on_digraph, VerifyConfig,
@@ -147,19 +148,20 @@ fn run_one(graph: &Graph, entry: NodeId, inject: InjectSpec, fault_seed: u64) ->
         // Fold this unit's counters into the global aggregate even if it
         // panics: the tally recorded before the crash is data, not noise.
         let _fold = pst_obs::fold_on_drop();
-        // NTSCD/DOD are defined on the raw digraph itself: check them
-        // against their oracles *before* canonicalization repairs away the
-        // non-terminating regions where they differ from the classic
-        // relation.
-        let strong = verify_strong_on_digraph(graph, &VerifyConfig::default());
-        if !strong.is_clean() {
-            return Outcome::Violation(strong.to_string());
-        }
-        let strong_exhausted = !strong.exhausted_checkers().is_empty();
         let canonical = match canonicalize(graph, entry, &CanonicalizeOptions::default()) {
             Ok(c) => c,
             Err(_) => return Outcome::Rejected,
         };
+        // NTSCD/DOD are defined on the raw digraph itself, so the graph
+        // unit checks them on the input, not on the repair that patches
+        // away the non-terminating regions where they differ from the
+        // classic relation.
+        let unit = Analysis::of_graph(graph, &canonical);
+        let strong = verify_strong_on_digraph(&unit, &VerifyConfig::default());
+        if !strong.is_clean() {
+            return Outcome::Violation(strong.to_string());
+        }
+        let strong_exhausted = !strong.exhausted_checkers().is_empty();
         #[allow(unused_mut)]
         let mut artifacts = compute_artifacts_for_cfg(&canonical.cfg);
         #[cfg(feature = "fault-inject")]
@@ -349,45 +351,31 @@ pub fn fuzz_command(opts: &FuzzOptions) -> Result<(), Failure> {
                 }
             }
             Outcome::Rejected => rejected += 1,
-            Outcome::Violation(report) => {
-                violations += 1;
-                pst_obs::counter!("fuzz_violations");
+            Outcome::Violation(detail) | Outcome::Panic(detail) => {
                 let small = minimize(Input::of_graph(&graph), inject, seed);
                 let path = write_reproducer(&opts.out_dir, seed, &small)?;
+                let (kind, what) = if matches!(outcome, Outcome::Panic(_)) {
+                    panics += 1;
+                    pst_obs::counter!("fuzz_panics_contained");
+                    first_panic.get_or_insert_with(|| format!("seed {seed}: {detail}"));
+                    ("panic", format!("CONTAINED PANIC `{detail}`"))
+                } else {
+                    violations += 1;
+                    pst_obs::counter!("fuzz_violations");
+                    first_violation.get_or_insert_with(|| format!("seed {seed}:\n{detail}"));
+                    ("violation", "CHECKER VIOLATION".to_string())
+                };
                 pst_obs::journal::emit(pst_obs::journal::Event::FuzzCrash {
                     seed,
-                    kind: "violation".to_string(),
-                    detail: first_line(report),
+                    kind: kind.to_string(),
+                    detail: first_line(detail),
                     reproducer: Some(path.clone()),
                 });
                 println!(
-                    "seed {seed}: CHECKER VIOLATION ({} nodes, {} edges minimized) -> {path}",
+                    "seed {seed}: {what} ({} nodes, {} edges minimized) -> {path}",
                     small.node_count,
                     small.edges.len()
                 );
-                if first_violation.is_none() {
-                    first_violation = Some(format!("seed {seed}:\n{report}"));
-                }
-            }
-            Outcome::Panic(message) => {
-                panics += 1;
-                pst_obs::counter!("fuzz_panics_contained");
-                let small = minimize(Input::of_graph(&graph), inject, seed);
-                let path = write_reproducer(&opts.out_dir, seed, &small)?;
-                pst_obs::journal::emit(pst_obs::journal::Event::FuzzCrash {
-                    seed,
-                    kind: "panic".to_string(),
-                    detail: first_line(message),
-                    reproducer: Some(path.clone()),
-                });
-                println!(
-                    "seed {seed}: CONTAINED PANIC `{message}` ({} nodes, {} edges minimized) -> {path}",
-                    small.node_count,
-                    small.edges.len()
-                );
-                if first_panic.is_none() {
-                    first_panic = Some(format!("seed {seed}: {message}"));
-                }
             }
         }
     }

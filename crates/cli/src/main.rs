@@ -75,12 +75,13 @@ mod top;
 use std::io::Read as _;
 use std::process::ExitCode;
 
+use pst_analysis::Analysis;
 use pst_cfg::graph_to_dot_with;
 use pst_controldep::fow_control_regions;
-use pst_core::{classify_regions, collapse_all, ControlRegions, ProgramStructureTree, PstStats};
-use pst_dataflow::{solve_iterative, QpgContext, SingleVariableReachingDefs};
+use pst_core::{classify_regions, PstStats};
+use pst_dataflow::{solve_iterative, SingleVariableReachingDefs};
 use pst_lang::{lower_program, parse_program, LoweredFunction, VarId};
-use pst_ssa::{place_phis_cytron, place_phis_pst, rename};
+use pst_ssa::{place_phis_cytron, rename};
 
 const USAGE: &str = "usage: pst <regions|kinds|dot|clusters|control-regions|ssa|dataflow> \
      <file.mini | -> [--paranoid] [--trace] [--metrics-json <path>] [--journal <path>]\n       \
@@ -146,38 +147,29 @@ fn main() -> ExitCode {
         command: command.clone(),
         args: if canonicalize_mode { args.clone() } else { args.iter().skip(1).cloned().collect() },
     });
-    let outcome = if !canonicalize_mode && args.first().map(String::as_str) == Some("fuzz") {
-        args.remove(0);
-        match fuzz::FuzzOptions::from_args(&mut args) {
-            Ok(opts) => fuzz::fuzz_command(&opts),
-            Err(msg) => Err(Failure::Usage(msg)),
-        }
-    } else if !canonicalize_mode && args.first().map(String::as_str) == Some("lint") {
-        args.remove(0);
-        match lint::LintOptions::from_args(&mut args, options) {
-            Ok(opts) => lint::lint_command(&opts),
-            Err(msg) => Err(Failure::Usage(msg)),
-        }
-    } else if !canonicalize_mode && args.first().map(String::as_str) == Some("obs") {
-        args.remove(0);
-        match obs::ObsOptions::from_args(&mut args) {
-            Ok(opts) => obs::obs_command(&opts),
-            Err(msg) => Err(Failure::Usage(msg)),
-        }
-    } else if !canonicalize_mode && args.first().map(String::as_str) == Some("serve") {
-        args.remove(0);
-        match serve::ServeOptions::from_args(&mut args) {
-            Ok(opts) => serve::serve_command(&opts),
-            Err(msg) => Err(Failure::Usage(msg)),
-        }
-    } else if !canonicalize_mode && args.first().map(String::as_str) == Some("top") {
-        args.remove(0);
-        match top::TopOptions::from_args(&mut args) {
-            Ok(opts) => top::top_command(&opts),
-            Err(msg) => Err(Failure::Usage(msg)),
-        }
-    } else {
-        dispatch(canonicalize_mode, paranoid, &options, &args)
+    // Subcommands with flags of their own parse the rest of the line;
+    // everything else is the `(command, path)` form.
+    let subcommand = match command.as_str() {
+        "fuzz" | "lint" | "obs" | "serve" | "top" if !canonicalize_mode => Some(args.remove(0)),
+        _ => None,
+    };
+    let outcome = match subcommand.as_deref() {
+        Some("fuzz") => fuzz::FuzzOptions::from_args(&mut args)
+            .map_err(Failure::Usage)
+            .and_then(|opts| fuzz::fuzz_command(&opts)),
+        Some("lint") => lint::LintOptions::from_args(&mut args, options)
+            .map_err(Failure::Usage)
+            .and_then(|opts| lint::lint_command(&opts)),
+        Some("obs") => obs::ObsOptions::from_args(&mut args)
+            .map_err(Failure::Usage)
+            .and_then(|opts| obs::obs_command(&opts)),
+        Some("serve") => serve::ServeOptions::from_args(&mut args)
+            .map_err(Failure::Usage)
+            .and_then(|opts| serve::serve_command(&opts)),
+        Some(_) => top::TopOptions::from_args(&mut args)
+            .map_err(Failure::Usage)
+            .and_then(|opts| top::top_command(&opts)),
+        None => dispatch(canonicalize_mode, paranoid, &options, &args),
     };
     emit_observability(trace, metrics_json.as_deref());
     let code: u8 = match &outcome {
@@ -373,37 +365,37 @@ fn run(command: &str, source: &str, paranoid: bool) -> Result<(), Failure> {
         // Attribute every span/counter/histogram recorded below to this
         // function's unit as well as the global aggregate.
         let _unit = pst_obs::UnitScope::enter(function.name.as_str());
+        let analysis = Analysis::of_function(function, None);
         match command {
-            "regions" => regions(function),
-            "kinds" => kinds(function),
-            "dot" => dot(function),
-            "clusters" => clusters(function),
-            "control-regions" => control_regions(function),
-            "ssa" => ssa(function)?,
-            "dataflow" => dataflow(function)?,
+            "regions" => regions(function, &analysis),
+            "kinds" => kinds(function, &analysis),
+            "dot" => dot(function, &analysis),
+            "clusters" => clusters(function, &analysis),
+            "control-regions" => control_regions(function, &analysis),
+            "ssa" => ssa(function, &analysis)?,
+            "dataflow" => dataflow(function, &analysis)?,
             "loops" => loops(function),
             "intervals" => intervals(function),
             other => return Err(Failure::Usage(format!("unknown command `{other}`"))),
         }
         if paranoid {
-            paranoid_check(function)?;
+            paranoid_check(&analysis, &format!("fn {}", function.name))?;
         }
         println!();
     }
     Ok(())
 }
 
-/// `--paranoid`: re-derive every stage of this function's pipeline with the
-/// independent `pst-verify` checkers; a violation is exit code 3.
-fn paranoid_check(f: &LoweredFunction) -> Result<(), Failure> {
-    let artifacts = pst_verify::compute_artifacts(f.clone());
+/// `--paranoid`: checks the stages the command printed, and the rest, with
+/// the independent `pst-verify` checkers; a violation is exit code 3.
+fn paranoid_check(analysis: &Analysis<'_>, unit: &str) -> Result<(), Failure> {
+    let artifacts = pst_verify::compute_artifacts(analysis);
     let report = pst_verify::verify_artifacts(&artifacts, &pst_verify::VerifyConfig::default());
     if report.is_clean() {
         Ok(())
     } else {
         Err(Failure::Violation(format!(
-            "fn {}: invariant checkers flagged the pipeline:\n{report}",
-            f.name
+            "{unit}: invariant checkers flagged the pipeline:\n{report}"
         )))
     }
 }
@@ -451,21 +443,19 @@ fn canonicalize_command(
         ));
     }
 
-    let pst = ProgramStructureTree::build(cfg);
+    // The unit is the checkers' synthetic function over the repaired CFG
+    // (the φ checker needs variables), so --paranoid checks the very PST
+    // printed below.
+    let function = pst_verify::synthetic_function(cfg);
+    let analysis = Analysis::of_function(&function, None);
+    let pst = analysis.pst();
     print!("{}", pst.render());
     println!(
         "{} canonical regions (cross-checked against the slow-bracket oracle)",
         pst.canonical_region_count()
     );
     if paranoid {
-        let artifacts = pst_verify::compute_artifacts_for_cfg(cfg);
-        let report =
-            pst_verify::verify_artifacts(&artifacts, &pst_verify::VerifyConfig::default());
-        if !report.is_clean() {
-            return Err(Failure::Violation(format!(
-                "canonicalized CFG: invariant checkers flagged the pipeline:\n{report}"
-            )));
-        }
+        paranoid_check(&analysis, "canonicalized CFG")?;
         println!(
             "paranoid: all {} invariant checkers passed",
             pst_verify::CheckerId::ALL.len()
@@ -474,9 +464,9 @@ fn canonicalize_command(
     Ok(())
 }
 
-fn regions(f: &LoweredFunction) {
-    let pst = ProgramStructureTree::build(&f.cfg);
-    let stats = PstStats::of(&pst);
+fn regions(f: &LoweredFunction, analysis: &Analysis<'_>) {
+    let pst = analysis.pst();
+    let stats = PstStats::of(pst);
     println!(
         "fn {}: {} blocks, {} edges, {} statements",
         f.name,
@@ -494,9 +484,9 @@ fn regions(f: &LoweredFunction) {
     );
 }
 
-fn kinds(f: &LoweredFunction) {
-    let pst = ProgramStructureTree::build(&f.cfg);
-    let classification = classify_regions(&f.cfg, &pst);
+fn kinds(f: &LoweredFunction, analysis: &Analysis<'_>) {
+    let pst = analysis.pst();
+    let classification = classify_regions(&f.cfg, pst);
     println!("fn {}:", f.name);
     for r in pst.regions() {
         let indent = "  ".repeat(pst.depth(r) + 1);
@@ -519,8 +509,8 @@ const PALETTE: &[&str] = &[
     "thistle",
 ];
 
-fn dot(f: &LoweredFunction) {
-    let pst = ProgramStructureTree::build(&f.cfg);
+fn dot(f: &LoweredFunction, analysis: &Analysis<'_>) {
+    let pst = analysis.pst();
     println!("// fn {}", f.name);
     let rendered = graph_to_dot_with(
         f.cfg.graph(),
@@ -542,15 +532,14 @@ fn dot(f: &LoweredFunction) {
     print!("{rendered}");
 }
 
-fn clusters(f: &LoweredFunction) {
-    let pst = ProgramStructureTree::build(&f.cfg);
+fn clusters(f: &LoweredFunction, analysis: &Analysis<'_>) {
     println!("// fn {} — regions as nested clusters", f.name);
-    print!("{}", pst_core::pst_to_dot(&f.cfg, &pst));
+    print!("{}", pst_core::pst_to_dot(&f.cfg, analysis.pst()));
 }
 
-fn control_regions(f: &LoweredFunction) {
-    let fast = ControlRegions::compute(&f.cfg);
-    debug_assert_eq!(fast, fow_control_regions(&f.cfg));
+fn control_regions(f: &LoweredFunction, analysis: &Analysis<'_>) {
+    let fast = analysis.control_regions();
+    debug_assert_eq!(*fast, fow_control_regions(&f.cfg));
     println!("fn {}: {} control regions", f.name, fast.num_classes());
     for (class, nodes) in fast.groups().iter().enumerate() {
         let labels: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
@@ -558,11 +547,10 @@ fn control_regions(f: &LoweredFunction) {
     }
 }
 
-fn ssa(f: &LoweredFunction) -> Result<(), Failure> {
-    let pst = ProgramStructureTree::build(&f.cfg);
-    let collapsed = collapse_all(&f.cfg, &pst);
-    let sparse =
-        place_phis_pst(f, &pst, &collapsed).map_err(|e| Failure::Analysis(e.to_string()))?;
+fn ssa(f: &LoweredFunction, analysis: &Analysis<'_>) -> Result<(), Failure> {
+    let sparse = analysis
+        .phi()
+        .map_err(|e| Failure::Analysis(e.to_string()))?;
     let baseline = place_phis_cytron(f);
     if baseline != sparse.placement {
         return Err(Failure::Violation(format!(
@@ -626,11 +614,10 @@ fn intervals(f: &LoweredFunction) {
     );
 }
 
-fn dataflow(f: &LoweredFunction) -> Result<(), Failure> {
-    let pst = ProgramStructureTree::build(&f.cfg);
+fn dataflow(f: &LoweredFunction, analysis: &Analysis<'_>) -> Result<(), Failure> {
     let qpg_failure =
         |e: pst_dataflow::QpgError| Failure::Analysis(format!("fn {}: QPG error: {e}", f.name));
-    let ctx = QpgContext::new(&f.cfg, &pst).map_err(qpg_failure)?;
+    let ctx = analysis.qpg_context().map_err(qpg_failure)?;
     println!(
         "fn {}: per-variable reaching definitions via quick propagation graphs",
         f.name

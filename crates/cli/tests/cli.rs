@@ -1430,3 +1430,108 @@ fn non_utf8_file_reports_the_offending_offset() {
         "{err}"
     );
 }
+
+// --- one computation per stage -------------------------------------------
+
+/// How many times the run recorded in the `--metrics-json` report at
+/// `path` entered the span `name`, summed over every place in the span
+/// tree it appears.
+fn span_entries(path: &std::path::Path, name: &str) -> u64 {
+    fn walk(spans: &pst_obs::json::Json, name: &str) -> u64 {
+        let pst_obs::json::Json::Arr(spans) = spans else {
+            return 0;
+        };
+        spans
+            .iter()
+            .map(|s| {
+                let own = match s.get("name") {
+                    Some(pst_obs::json::Json::Str(n)) if n == name => {
+                        s.get("count").and_then(pst_obs::json::Json::as_u64).unwrap_or(0)
+                    }
+                    _ => 0,
+                };
+                own + s.get("children").map_or(0, |c| walk(c, name))
+            })
+            .sum()
+    }
+    let text = std::fs::read_to_string(path).expect("metrics written");
+    let report = pst_obs::json::Json::parse(&text).expect("metrics JSON parses");
+    walk(report.get("spans").expect("spans"), name)
+}
+
+#[test]
+fn a_serve_unit_computes_each_shared_stage_once() {
+    let dir = work_dir("stage_once_serve");
+    let fig1 = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/fig1.mini"),
+    )
+    .expect("read fig1.mini");
+    let mut input = String::new();
+    for (i, method) in ["pst", "control_regions", "lint", "ssa", "dataflow"]
+        .iter()
+        .enumerate()
+    {
+        let request = pst_obs::json::Json::obj([
+            ("id", pst_obs::json::Json::UInt(i as u64)),
+            ("method", pst_obs::json::Json::Str(method.to_string())),
+            ("source", pst_obs::json::Json::Str(fig1.clone())),
+        ]);
+        input.push_str(&format!("{request}\n"));
+    }
+    input.push_str("{\"id\":9,\"method\":\"shutdown\"}\n");
+    let metrics = dir.join("mini.json");
+    let (out, err, code) = run(
+        &["serve", "--metrics-json", metrics.to_str().unwrap()],
+        Some(&input),
+    );
+    assert_eq!(code, 0, "{err}");
+    assert_eq!(out.matches("\"ok\":true").count(), 6, "{out}");
+    assert_eq!(span_entries(&metrics, "pst"), 1, "PST built more than once");
+    assert_eq!(
+        span_entries(&metrics, "control_regions"),
+        1,
+        "control regions computed more than once"
+    );
+
+    let edges = "{\"id\":1,\"method\":\"control_regions\",\"edges\":\"0->1\\n0->2\\n1->2\\n2->1\\n\"}\n\
+                 {\"id\":2,\"method\":\"lint\",\"edges\":\"0->1\\n0->2\\n1->2\\n2->1\\n\"}\n\
+                 {\"id\":3,\"method\":\"shutdown\"}\n";
+    let metrics = dir.join("edges.json");
+    let (out, err, code) = run(
+        &["serve", "--metrics-json", metrics.to_str().unwrap()],
+        Some(edges),
+    );
+    assert_eq!(code, 0, "{err}");
+    assert_eq!(out.matches("\"ok\":true").count(), 3, "{out}");
+    assert_eq!(
+        span_entries(&metrics, "control_regions"),
+        1,
+        "the edge unit's lint recomputed its control regions"
+    );
+}
+
+#[test]
+fn paranoid_ssa_checks_the_stages_it_printed() {
+    let dir = work_dir("stage_once_paranoid");
+    let metrics = dir.join("m.json");
+    let fig1 = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/fig1.mini");
+    let (out, err, code) = run(
+        &[
+            "ssa",
+            fig1.to_str().unwrap(),
+            "--paranoid",
+            "--metrics-json",
+            metrics.to_str().unwrap(),
+        ],
+        None,
+    );
+    assert_eq!(code, 0, "{err}");
+    assert!(out.contains("φ-functions"), "{out}");
+    assert_eq!(span_entries(&metrics, "pst"), 1, "--paranoid rebuilt the PST");
+    assert_eq!(
+        span_entries(&metrics, "phi_pst"),
+        1,
+        "--paranoid placed the φ-functions again"
+    );
+    assert_eq!(span_entries(&metrics, "verify"), 1, "the checkers ran");
+}

@@ -94,8 +94,8 @@ struct ShardSeries {
 }
 
 /// All live telemetry of one daemon. Constructed only when
-/// `--metrics-window-ms` is non-zero; the perf harness measures the
-/// disabled configuration against this one to price the overhead.
+/// `--metrics-window-ms` is non-zero; at 0 the daemon keeps none of it
+/// and records nothing per request.
 pub struct LiveMetrics {
     window_ms: u64,
     windows: usize,

@@ -1,15 +1,16 @@
-//! One-stop pipeline driver for verification: computes every artifact the
-//! checkers need from a single CFG, then runs all checkers over them.
+//! Verification over one [`Analysis`]: snapshots the artifacts the
+//! checkers need out of it, then runs all checkers over them.
 //!
 //! The artifacts are held by value (not recomputed inside the checkers)
 //! so fault injection can corrupt them *between* computation and
 //! checking — exactly the seam where a real bug would sit.
 
-use pst_cfg::{Cfg, Graph};
+use pst_analysis::Analysis;
+use pst_cfg::Cfg;
 use pst_controldep::StrongControlDeps;
-use pst_core::{collapse_all, CanonicalRegions, ControlRegions, ProgramStructureTree};
+use pst_core::{CanonicalRegions, ControlRegions, ProgramStructureTree};
 use pst_lang::{BlockInfo, LoweredFunction, StmtInfo, VarId};
-use pst_ssa::{place_phis_pst_unchecked, PhiPlacement};
+use pst_ssa::PhiPlacement;
 
 use crate::checkers::{
     check_control_regions, check_cycle_equiv, check_dod, check_ntscd, check_phi, check_pst,
@@ -41,7 +42,7 @@ impl Default for VerifyConfig {
     }
 }
 
-/// Everything the five checkers consume, computed once per input.
+/// Everything the checkers consume, snapshotted from one [`Analysis`].
 #[derive(Clone, Debug)]
 pub struct PipelineArtifacts {
     /// The function the pipeline ran over; `function.cfg` is the CFG.
@@ -101,31 +102,30 @@ pub fn synthetic_function(cfg: &Cfg) -> LoweredFunction {
     }
 }
 
-/// Runs the full pipeline — region detection, PST, control regions,
-/// φ-placement — over `function`, retaining every intermediate artifact.
-pub fn compute_artifacts(function: LoweredFunction) -> PipelineArtifacts {
-    let pst = ProgramStructureTree::build(&function.cfg);
-    let detection = pst
-        .detection()
-        .cloned()
-        .expect("build always records detection");
-    let control_regions = ControlRegions::compute(&function.cfg);
-    let collapsed = collapse_all(&function.cfg, &pst);
-    let phi = place_phis_pst_unchecked(&function, &pst, &collapsed).placement;
-    let strong = StrongControlDeps::of_cfg(&function.cfg);
+/// Snapshots the stages the checkers read — region detection, PST,
+/// control regions, φ-placement and strong control dependence — out of
+/// `analysis`, computing any it has not memoized yet, so fault injection
+/// can corrupt the copies without touching what a driver printed.
+/// Panics on a graph unit (the φ checker needs a function; wrap a bare
+/// CFG with [`synthetic_function`]) and where φ-placement fails.
+pub fn compute_artifacts(analysis: &Analysis<'_>) -> PipelineArtifacts {
+    let function = analysis.function().expect("the checkers read a function");
+    let phi = analysis.phi().expect("CFG/PST pair is consistent");
+    let pst = analysis.pst();
+    let detection = pst.detection().expect("build always records detection");
     PipelineArtifacts {
-        function,
-        detection,
-        pst,
-        control_regions,
-        phi,
-        strong,
+        function: function.clone(),
+        detection: detection.clone(),
+        pst: pst.clone(),
+        control_regions: analysis.control_regions().clone(),
+        phi: phi.placement.clone(),
+        strong: analysis.strong().clone(),
     }
 }
 
 /// [`compute_artifacts`] over a bare CFG, via [`synthetic_function`].
 pub fn compute_artifacts_for_cfg(cfg: &Cfg) -> PipelineArtifacts {
-    compute_artifacts(synthetic_function(cfg))
+    compute_artifacts(&Analysis::of_function(&synthetic_function(cfg), None))
 }
 
 /// Runs all seven checkers over `artifacts` and aggregates the verdicts.
@@ -145,30 +145,25 @@ pub fn verify_artifacts(artifacts: &PipelineArtifacts, config: &VerifyConfig) ->
         check_ntscd(cfg.graph(), &artifacts.strong, config.oracle_budget),
         check_dod(cfg.graph(), &artifacts.strong, config.oracle_budget),
     ];
-    let report = VerifyReport { reports };
-    pst_obs::counter!("verify_checks_run", report.reports.len() as u64);
-    pst_obs::counter!("verify_violations", report.violation_count() as u64);
-    pst_obs::counter!(
-        "verify_budget_exhausted",
-        report.exhausted_checkers().len() as u64
-    );
-    report
+    tally(VerifyReport { reports })
 }
 
-/// Strong-control-dependence verification for an **arbitrary digraph**
-/// — no canonicalization, no exit node, non-terminating regions left
-/// intact. This is the form `pst fuzz` runs on every raw input before
-/// repairing it: NTSCD and DOD are defined on exactly these graphs,
-/// and their most interesting behaviour (termination-sensitive deps,
-/// order witnesses) lives on the inputs canonicalization would patch.
-pub fn verify_strong_on_digraph(graph: &Graph, config: &VerifyConfig) -> VerifyReport {
+/// Checks [`Analysis::strong`] against [`Analysis::input_graph`]: for a
+/// graph unit, the **arbitrary raw digraph**, non-terminating regions
+/// intact. `pst fuzz` runs it on every raw input, where NTSCD and DOD
+/// show the behaviour canonicalization would patch away.
+pub fn verify_strong_on_digraph(analysis: &Analysis<'_>, config: &VerifyConfig) -> VerifyReport {
     let _span = pst_obs::Span::enter("verify_strong");
-    let strong = StrongControlDeps::of_graph(graph);
+    let (graph, strong) = (analysis.input_graph(), analysis.strong());
     let reports = vec![
-        check_ntscd(graph, &strong, config.oracle_budget),
-        check_dod(graph, &strong, config.oracle_budget),
+        check_ntscd(graph, strong, config.oracle_budget),
+        check_dod(graph, strong, config.oracle_budget),
     ];
-    let report = VerifyReport { reports };
+    tally(VerifyReport { reports })
+}
+
+/// Records a report's verdicts in the `verify_*` obs counters.
+fn tally(report: VerifyReport) -> VerifyReport {
     pst_obs::counter!("verify_checks_run", report.reports.len() as u64);
     pst_obs::counter!("verify_violations", report.violation_count() as u64);
     pst_obs::counter!(

@@ -67,8 +67,10 @@ proptest! {
             force_multiple_exits: degenerate & 8 != 0,
             force_self_loop: degenerate & 1 != 0,
         };
-        let (graph, _entry) = random_digraph(&config, seed);
-        let report = verify_strong_on_digraph(&graph, &VerifyConfig::default());
+        let (graph, entry) = random_digraph(&config, seed);
+        let canonical = pst_cfg::canonicalize(&graph, entry, &Default::default()).unwrap();
+        let analysis = pst_analysis::Analysis::of_graph(&graph, &canonical);
+        let report = verify_strong_on_digraph(&analysis, &VerifyConfig::default());
         prop_assert!(report.is_clean(), "digraph({n}, {extra}, {seed}, {degenerate}):\n{report}");
         prop_assert!(report.exhausted_checkers().is_empty());
     }

@@ -341,6 +341,25 @@ done)
     || { echo "FAIL: unwrap/expect in the request path:"; echo "$unwraps"; exit 1; }
 echo "unwrap gate OK"
 
+echo "== gate: one pipeline driver =="
+# Every driver reads the stages units share from one
+# pst_analysis::Analysis, which computes each at most once. Non-test
+# code in the CLI, the serve daemon, the verifier and the lint engine
+# must therefore not call a shared stage's constructor itself; the
+# Analysis module (crates/analysis/src/analysis.rs) is the one place
+# that does. Comment lines are skipped, and test modules sit behind
+# #[cfg(test)] as in the unwrap gate above.
+stages='ProgramStructureTree::build|ControlRegions::compute|collapse_all|place_phis_pst|QpgContext::new|StrongControlDeps::of_|Dod::compute'
+stage_calls=$(for f in crates/cli/src/*.rs crates/serve/src/*.rs crates/verify/src/*.rs \
+    crates/analysis/src/*.rs; do
+    [ "$f" = crates/analysis/src/analysis.rs ] && continue
+    awk -v file="$f" -v re="$stages" '/#\[cfg\(test\)\]/{intest=1}
+        intest==0 && $0 !~ /^[ \t]*\/\// && $0 ~ re {print file":"FNR": "$0}' "$f"
+done)
+[ -z "$stage_calls" ] \
+    || { echo "FAIL: stage computed outside pst_analysis::Analysis:"; echo "$stage_calls"; exit 1; }
+echo "pipeline-driver gate OK"
+
 echo "== smoke: pst serve (NDJSON round trip, cache hit, error envelope) =="
 # Drive the daemon over stdin: the same pst query twice (second must be
 # served from the session cache), one garbage line (must get a
