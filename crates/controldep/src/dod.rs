@@ -30,7 +30,7 @@
 
 use pst_cfg::{Graph, NodeId, Sccs};
 
-use crate::ntscd::{branch_nodes, Inevitability};
+use crate::ntscd::{branch_nodes, Inevitability, NO_BRANCH};
 
 /// Default work budget for [`Dod::compute`], in propagation-step
 /// units (one unit ≈ one `O(N + E)` pass). Generous for every graph
@@ -102,6 +102,10 @@ impl Dod {
             members[sccs.component(v)].push(v);
         }
         let branches = branch_nodes(graph);
+        let mut branch_of = vec![NO_BRANCH; n];
+        for (k, (p, _)) in branches.iter().enumerate() {
+            branch_of[p.index()] = k as u32;
+        }
 
         let mut witnesses: Vec<DodWitness> = Vec::new();
         let mut complete = true;
@@ -131,8 +135,9 @@ impl Dod {
                 }
                 props_left -= 1;
                 propagation.fill(w, None, &mut inevitable);
-                for (k, (p, _)) in branches.iter().enumerate() {
-                    if inevitable[p.index()] {
+                for &x in propagation.marked() {
+                    let k = branch_of[x.index()] as usize;
+                    if k != NO_BRANCH as usize {
                         row[k / 64] |= 1 << (k % 64);
                     }
                 }

@@ -66,24 +66,36 @@ impl Ntscd {
         let _span = pst_obs::Span::enter("ntscd");
         let n = graph.node_count();
         let branches = branch_nodes(graph);
+        let mut branch_of = vec![NO_BRANCH; n];
+        for (k, (p, _)) in branches.iter().enumerate() {
+            branch_of[p.index()] = k as u32;
+        }
         let mut deps: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         let mut inevitable = vec![false; n];
         let mut propagation = Inevitability::new(graph);
+        // Branches with an inevitable successor, found from the marked
+        // set: only they can depend on the target, so the scan costs the
+        // in-edges of the marked set rather than every branch.
+        let mut candidates: Vec<u32> = Vec::new();
+        let mut seen_for = vec![NO_BRANCH; branches.len()];
         let mut deps_total = 0u64;
         for w in graph.nodes() {
             propagation.fill(w, None, &mut inevitable);
-            for (p, succs) in &branches {
-                let mut any_in = false;
-                let mut any_out = false;
-                for s in succs {
-                    if inevitable[s.index()] {
-                        any_in = true;
-                    } else {
-                        any_out = true;
+            candidates.clear();
+            for &x in propagation.marked() {
+                for p in graph.predecessors(x) {
+                    let k = branch_of[p.index()];
+                    if k != NO_BRANCH && seen_for[k as usize] != w.index() as u32 {
+                        seen_for[k as usize] = w.index() as u32;
+                        candidates.push(k);
                     }
                 }
-                if any_in && any_out {
-                    // Branch order is ascending, so `deps[w]` stays sorted.
+            }
+            // Branch order is ascending, so `deps[w]` comes out sorted.
+            candidates.sort_unstable();
+            for &k in &candidates {
+                let (p, succs) = &branches[k as usize];
+                if succs.iter().any(|s| !inevitable[s.index()]) {
                     deps[w.index()].push(*p);
                     deps_total += 1;
                 }
@@ -132,6 +144,9 @@ impl Ntscd {
     }
 }
 
+/// No branch (in a node → branch-index table).
+pub(crate) const NO_BRANCH: u32 = u32::MAX;
+
 /// Branch nodes of `graph` with their *distinct* successors, in
 /// ascending node order. Parallel edges to one target cannot split
 /// control, so they do not make a node a predicate.
@@ -156,7 +171,9 @@ pub(crate) struct Inevitability<'g> {
     graph: &'g Graph,
     out_degrees: Vec<u32>,
     needed: Vec<u32>,
-    worklist: Vec<NodeId>,
+    /// The nodes the last [`Inevitability::fill`] marked, in marking
+    /// order; also its worklist.
+    marked: Vec<NodeId>,
 }
 
 impl<'g> Inevitability<'g> {
@@ -166,8 +183,13 @@ impl<'g> Inevitability<'g> {
             graph,
             needed: vec![0; out_degrees.len()],
             out_degrees,
-            worklist: Vec::with_capacity(graph.node_count()),
+            marked: Vec::with_capacity(graph.node_count()),
         }
+    }
+
+    /// The nodes the last [`Inevitability::fill`] set in `inevitable`.
+    pub(crate) fn marked(&self) -> &[NodeId] {
+        &self.marked
     }
 
     /// Fills `inevitable` with the set `{x : every maximal path from x
@@ -178,13 +200,15 @@ impl<'g> Inevitability<'g> {
     /// test is built from.
     pub(crate) fn fill(&mut self, w: NodeId, blocked: Option<NodeId>, inevitable: &mut [bool]) {
         debug_assert_ne!(Some(w), blocked);
-        let (graph, needed, worklist) = (self.graph, &mut self.needed, &mut self.worklist);
+        let (graph, needed, marked) = (self.graph, &mut self.needed, &mut self.marked);
         inevitable.fill(false);
         needed.copy_from_slice(&self.out_degrees);
-        worklist.clear();
+        marked.clear();
         inevitable[w.index()] = true;
-        worklist.push(w);
-        while let Some(x) = worklist.pop() {
+        marked.push(w);
+        let mut next = 0;
+        while let Some(&x) = marked.get(next) {
+            next += 1;
             for &e in graph.in_edges(x) {
                 let p = graph.source(e);
                 if inevitable[p.index()] || Some(p) == blocked {
@@ -196,7 +220,7 @@ impl<'g> Inevitability<'g> {
                 needed[p.index()] -= 1;
                 if needed[p.index()] == 0 {
                     inevitable[p.index()] = true;
-                    worklist.push(p);
+                    marked.push(p);
                 }
             }
         }
@@ -218,7 +242,59 @@ pub(crate) fn inevitable_to(graph: &Graph, w: NodeId) -> Vec<bool> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use pst_workloads::{random_digraph, DigraphConfig};
+
     use super::*;
+
+    /// The relation by scanning every branch against every target's
+    /// inevitability set, the loop [`Ntscd::compute`] narrows to the
+    /// branches with an inevitable successor. Its oracle.
+    fn ntscd_by_scanning_every_branch(graph: &Graph) -> Vec<Vec<NodeId>> {
+        let branches = branch_nodes(graph);
+        let mut propagation = Inevitability::new(graph);
+        let mut inevitable = vec![false; graph.node_count()];
+        graph
+            .nodes()
+            .map(|w| {
+                propagation.fill(w, None, &mut inevitable);
+                branches
+                    .iter()
+                    .filter(|(_, succs)| {
+                        succs.iter().any(|s| inevitable[s.index()])
+                            && succs.iter().any(|s| !inevitable[s.index()])
+                    })
+                    .map(|&(p, _)| p)
+                    .collect()
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Raw digraphs of up to a few hundred nodes, with the shapes the
+        /// canonicalizer repairs left in place.
+        #[test]
+        fn narrowed_branch_scan_matches_the_full_scan(
+            n in 1usize..300,
+            extra in 0usize..300,
+            seed in 0u64..1_000_000,
+            degenerate in 0u8..16,
+        ) {
+            let config = DigraphConfig {
+                nodes: n,
+                edges: n + extra,
+                force_entry_predecessor: degenerate & 1 != 0,
+                force_unreachable: degenerate & 2 != 0,
+                force_infinite_loop: degenerate & 4 != 0,
+                force_multiple_exits: degenerate & 8 != 0,
+                force_self_loop: degenerate & 1 != 0,
+            };
+            let (graph, _) = random_digraph(&config, seed);
+            prop_assert_eq!(Ntscd::compute(&graph).into_raw(), ntscd_by_scanning_every_branch(&graph));
+        }
+    }
 
     fn graph(node_count: usize, edges: &[(usize, usize)]) -> (Graph, Vec<NodeId>) {
         let mut g = Graph::new();

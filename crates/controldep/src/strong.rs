@@ -134,13 +134,20 @@ pub struct StrongControlDeps {
 }
 
 impl StrongControlDeps {
-    /// Builds the artifact for a valid CFG: NTSCD and DOD on its
-    /// graph, plus the classic relation from its postdominator tree.
+    /// Builds the artifact for a valid CFG: NTSCD on its graph, plus
+    /// the classic relation from its postdominator tree.
+    ///
+    /// The DOD is empty and complete without a search: every node of a
+    /// valid CFG reaches the exit, and then no witness exists (the
+    /// module documentation of [`Dod`] gives the argument, and a property
+    /// test checks it through [`Dod::compute`]). `pst-verify`'s DOD
+    /// checker still
+    /// compares it with the exhaustive oracle under `--paranoid` and in
+    /// fuzz runs.
     pub fn of_cfg(cfg: &Cfg) -> StrongControlDeps {
         let _span = pst_obs::Span::enter("strong_controldep");
         let classic = Some(ClassicControlDeps::compute(cfg));
-        let dod = Dod::compute_budgeted(cfg.graph(), DEFAULT_DOD_BUDGET);
-        StrongControlDeps::build(cfg.graph(), classic, dod)
+        StrongControlDeps::build(cfg.graph(), classic, Dod::from_raw(Vec::new(), true))
     }
 
     /// Builds the artifact for an arbitrary digraph (no exit, so no

@@ -3,11 +3,14 @@
 //! The paper's divide-and-conquer applications (§6) all view a region
 //! through the same lens: its *interior* nodes plus its immediately nested
 //! regions contracted to single statements. [`collapse_all`] materializes
-//! that view for every region of a PST in one pass over the CFG's edges
-//! (`O(E · depth)`), and both the region classifier and the PST-based SSA
-//! construction consume it.
-
-use std::collections::HashMap;
+//! that view for every region of a PST in linear time: one counting pass
+//! numbers every mini node, and one pass over the CFG's edges hands each
+//! edge to the region that owns it. An edge leaves at most one canonical
+//! region (it is that region's exit edge) and enters at most one (its
+//! entry edge), so finding its owner and the mini nodes of its endpoints
+//! climbs at most one level of the tree per endpoint: `O(N + E + R)`.
+//! Both the region classifier and the PST-based SSA construction consume
+//! the result.
 
 use pst_cfg::{Cfg, Graph, NodeId};
 
@@ -67,17 +70,43 @@ impl CollapsedRegion {
 /// ```
 pub fn collapse_all(cfg: &Cfg, pst: &ProgramStructureTree) -> Vec<CollapsedRegion> {
     let graph = cfg.graph();
+    let regions = pst.region_count();
 
-    // Representative of `node` as seen from `region`.
-    let rep_in = |region: RegionId, node: NodeId| -> CollapsedNode {
-        if pst.region_of_node(node) == region {
-            CollapsedNode::Interior(node)
-        } else {
-            CollapsedNode::Child(
-                pst.child_containing(region, node)
-                    .expect("node is inside the region"),
-            )
+    // Mini node ids, in one counting pass: a CFG node's slot in its
+    // innermost region (interior nodes in ascending order), then a
+    // region's slot in its parent (after the parent's interior nodes,
+    // in PST child order).
+    let mut size = vec![0u32; regions];
+    let node_slot: Vec<u32> = graph
+        .nodes()
+        .map(|n| {
+            let count = &mut size[pst.region_of_node(n).index()];
+            *count += 1;
+            *count - 1
+        })
+        .collect();
+    let mut child_slot = vec![0u32; regions];
+    for r in pst.regions() {
+        for &c in pst.children(r) {
+            child_slot[c.index()] = size[r.index()];
+            size[r.index()] += 1;
         }
+    }
+
+    // Mini node standing for `node` in `region`: the node itself when
+    // interior, else the child of `region` it lies in.
+    let rep_in = |region: RegionId, node: NodeId| -> NodeId {
+        let mut r = pst.region_of_node(node);
+        if r == region {
+            return NodeId::from_index(node_slot[node.index()] as usize);
+        }
+        while let Some(p) = pst.parent(r) {
+            if p == region {
+                return NodeId::from_index(child_slot[r.index()] as usize);
+            }
+            r = p;
+        }
+        panic!("node is inside the region");
     };
 
     // Lowest common ancestor of two regions (owner of a crossing edge).
@@ -96,49 +125,28 @@ pub fn collapse_all(cfg: &Cfg, pst: &ProgramStructureTree) -> Vec<CollapsedRegio
         x
     };
 
-    // Seed every region with its members so mini node ids are stable:
-    // interior nodes first (ascending), then children (PST order).
-    let mut regions: Vec<(Graph, Vec<CollapsedNode>, HashMap<CollapsedNode, NodeId>)> = pst
-        .regions()
-        .map(|r| {
-            let mut g = Graph::new();
-            let mut members = Vec::new();
-            let mut index = HashMap::new();
-            for n in pst.interior_nodes(r) {
-                let m = CollapsedNode::Interior(n);
-                index.insert(m, g.add_node());
-                members.push(m);
-            }
-            for &c in pst.children(r) {
-                let m = CollapsedNode::Child(c);
-                index.insert(m, g.add_node());
-                members.push(m);
-            }
-            (g, members, index)
+    // Every CFG edge goes to the region that owns it, between the mini
+    // nodes of its endpoints there. Both endpoints of an edge lie in its
+    // owner, and never in one child of it, so they stand for distinct
+    // members unless the edge is an interior self-loop.
+    let mut edge_count = vec![0u32; regions];
+    let owned: Vec<(RegionId, NodeId, NodeId)> = graph
+        .edges()
+        .map(|e| {
+            let (u, v) = graph.endpoints(e);
+            let owner = lca(pst.region_of_node(u), pst.region_of_node(v));
+            edge_count[owner.index()] += 1;
+            (owner, rep_in(owner, u), rep_in(owner, v))
         })
         .collect();
 
-    // Distribute every CFG edge to its owning region's mini graph.
-    for e in graph.edges() {
-        let (u, v) = graph.endpoints(e);
-        let owner = lca(pst.region_of_node(u), pst.region_of_node(v));
-        let ru = rep_in(owner, u);
-        let rv = rep_in(owner, v);
-        if ru == rv {
-            if let CollapsedNode::Child(_) = ru {
-                continue; // fully internal to a child; owned deeper (defensive)
+    let mut collapsed: Vec<CollapsedRegion> = pst
+        .regions()
+        .map(|r| {
+            let mut mini = Graph::with_capacity(0, edge_count[r.index()] as usize);
+            for _ in 0..size[r.index()] {
+                mini.add_node();
             }
-        }
-        let (g, _, index) = &mut regions[owner.index()];
-        let a = index[&ru];
-        let b = index[&rv];
-        g.add_edge(a, b);
-    }
-
-    // Assemble with head/tail.
-    pst.regions()
-        .zip(regions)
-        .map(|(r, (graph_r, members, index))| {
             let head_node = match pst.entry_edge(r) {
                 Some(e) => graph.target(e),
                 None => cfg.entry(),
@@ -147,22 +155,215 @@ pub fn collapse_all(cfg: &Cfg, pst: &ProgramStructureTree) -> Vec<CollapsedRegio
                 Some(e) => graph.source(e),
                 None => cfg.exit(),
             };
-            let head = index[&rep_in(r, head_node)];
-            let tail = index[&rep_in(r, tail_node)];
             CollapsedRegion {
-                graph: graph_r,
-                members,
-                head,
-                tail,
+                graph: mini,
+                members: Vec::with_capacity(size[r.index()] as usize),
+                head: rep_in(r, head_node),
+                tail: rep_in(r, tail_node),
             }
         })
-        .collect()
+        .collect();
+    for n in graph.nodes() {
+        collapsed[pst.region_of_node(n).index()]
+            .members
+            .push(CollapsedNode::Interior(n));
+    }
+    for r in pst.regions() {
+        let members = &mut collapsed[r.index()].members;
+        members.extend(pst.children(r).iter().map(|&c| CollapsedNode::Child(c)));
+    }
+    for (owner, a, b) in owned {
+        collapsed[owner.index()].graph.add_edge(a, b);
+    }
+    collapsed
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::collections::HashMap;
+
+    use proptest::prelude::*;
     use pst_cfg::parse_edge_list;
+
+    use super::*;
+
+    /// The quadratic collapse the linear one replaced: per region, an
+    /// `O(N)` scan for its interior nodes and a hash map from member to
+    /// mini node. The oracle for [`collapse_all`].
+    fn collapse_all_oracle(cfg: &Cfg, pst: &ProgramStructureTree) -> Vec<CollapsedRegion> {
+        let graph = cfg.graph();
+
+        // Representative of `node` as seen from `region`.
+        let rep_in = |region: RegionId, node: NodeId| -> CollapsedNode {
+            if pst.region_of_node(node) == region {
+                CollapsedNode::Interior(node)
+            } else {
+                CollapsedNode::Child(
+                    pst.child_containing(region, node)
+                        .expect("node is inside the region"),
+                )
+            }
+        };
+
+        // Lowest common ancestor of two regions (owner of a crossing edge).
+        let lca = |a: RegionId, b: RegionId| -> RegionId {
+            let (mut x, mut y) = (a, b);
+            while pst.depth(x) > pst.depth(y) {
+                x = pst.parent(x).expect("non-root has parent");
+            }
+            while pst.depth(y) > pst.depth(x) {
+                y = pst.parent(y).expect("non-root has parent");
+            }
+            while x != y {
+                x = pst.parent(x).expect("non-root has parent");
+                y = pst.parent(y).expect("non-root has parent");
+            }
+            x
+        };
+
+        // Seed every region with its members so mini node ids are stable:
+        // interior nodes first (ascending), then children (PST order).
+        let mut regions: Vec<(Graph, Vec<CollapsedNode>, HashMap<CollapsedNode, NodeId>)> = pst
+            .regions()
+            .map(|r| {
+                let mut g = Graph::new();
+                let mut members = Vec::new();
+                let mut index = HashMap::new();
+                for n in pst.interior_nodes(r) {
+                    let m = CollapsedNode::Interior(n);
+                    index.insert(m, g.add_node());
+                    members.push(m);
+                }
+                for &c in pst.children(r) {
+                    let m = CollapsedNode::Child(c);
+                    index.insert(m, g.add_node());
+                    members.push(m);
+                }
+                (g, members, index)
+            })
+            .collect();
+
+        // Distribute every CFG edge to its owning region's mini graph.
+        for e in graph.edges() {
+            let (u, v) = graph.endpoints(e);
+            let owner = lca(pst.region_of_node(u), pst.region_of_node(v));
+            let ru = rep_in(owner, u);
+            let rv = rep_in(owner, v);
+            if ru == rv {
+                if let CollapsedNode::Child(_) = ru {
+                    continue; // fully internal to a child; owned deeper (defensive)
+                }
+            }
+            let (g, _, index) = &mut regions[owner.index()];
+            let a = index[&ru];
+            let b = index[&rv];
+            g.add_edge(a, b);
+        }
+
+        // Assemble with head/tail.
+        pst.regions()
+            .zip(regions)
+            .map(|(r, (graph_r, members, index))| {
+                let head_node = match pst.entry_edge(r) {
+                    Some(e) => graph.target(e),
+                    None => cfg.entry(),
+                };
+                let tail_node = match pst.exit_edge(r) {
+                    Some(e) => graph.source(e),
+                    None => cfg.exit(),
+                };
+                let head = index[&rep_in(r, head_node)];
+                let tail = index[&rep_in(r, tail_node)];
+                CollapsedRegion {
+                    graph: graph_r,
+                    members,
+                    head,
+                    tail,
+                }
+            })
+            .collect()
+    }
+
+    /// Where two collapses of the same PST first differ, if anywhere.
+    fn first_difference(got: &[CollapsedRegion], want: &[CollapsedRegion]) -> Option<String> {
+        if got.len() != want.len() {
+            return Some(format!("{} regions, want {}", got.len(), want.len()));
+        }
+        for (r, (g, w)) in got.iter().zip(want).enumerate() {
+            if g.members != w.members {
+                return Some(format!(
+                    "region {r}: members {:?}, want {:?}",
+                    g.members, w.members
+                ));
+            }
+            if g.graph != w.graph {
+                return Some(format!(
+                    "region {r}: graph {:?}, want {:?}",
+                    g.graph, w.graph
+                ));
+            }
+            if (g.head, g.tail) != (w.head, w.tail) {
+                return Some(format!(
+                    "region {r}: head/tail {:?}, want {:?}",
+                    (g.head, g.tail),
+                    (w.head, w.tail)
+                ));
+            }
+        }
+        None
+    }
+
+    fn agrees_with_oracle(cfg: &Cfg) -> Option<String> {
+        let pst = ProgramStructureTree::build(cfg);
+        first_difference(&collapse_all(cfg, &pst), &collapse_all_oracle(cfg, &pst))
+    }
+
+    fn lowered(seed: u64, goto_prob: f64) -> Cfg {
+        let config = pst_workloads::ProgramGenConfig {
+            target_stmts: 60,
+            goto_prob,
+            ..Default::default()
+        };
+        let f = pst_workloads::generate_function("p", &config, seed);
+        pst_lang::lower_function(&f).unwrap().cfg
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn collapse_matches_oracle_on_mini_functions(seed in 0u64..100_000, goto in 0usize..2) {
+            let cfg = lowered(seed, if goto == 1 { 0.12 } else { 0.0 });
+            prop_assert_eq!(agrees_with_oracle(&cfg), None);
+        }
+
+        #[test]
+        fn collapse_matches_oracle_on_random_cfgs(
+            n in 3usize..60,
+            extra in 0usize..60,
+            seed in 0u64..100_000,
+        ) {
+            let cfg = pst_workloads::random_cfg(n, extra, seed).unwrap();
+            prop_assert_eq!(agrees_with_oracle(&cfg), None);
+        }
+    }
+
+    #[test]
+    fn swapped_children_fail_the_oracle_comparison() {
+        // The root of a chain of two diamonds has two children.
+        let cfg = parse_edge_list("0->1 0->2 1->3 2->3 3->4 3->5 4->6 5->6").unwrap();
+        let pst = ProgramStructureTree::build(&cfg);
+        let want = collapse_all_oracle(&cfg, &pst);
+        let mut got = collapse_all(&cfg, &pst);
+        assert_eq!(first_difference(&got, &want), None);
+        let root = &mut got[pst.root().index()];
+        let children: Vec<usize> = (0..root.members.len())
+            .filter(|&i| matches!(root.members[i], CollapsedNode::Child(_)))
+            .collect();
+        assert!(children.len() >= 2, "{:?}", root.members);
+        root.members.swap(children[0], children[1]);
+        assert!(first_difference(&got, &want).is_some());
+    }
 
     #[test]
     fn chain_root_is_a_chain_of_children() {

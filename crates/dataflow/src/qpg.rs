@@ -391,31 +391,51 @@ impl<'a> QpgContext<'a> {
 
     /// Solves `problem` on `qpg` and projects the solution onto every CFG
     /// node: kept nodes take their QPG values, and the nodes of a
-    /// bypassed region, copied from the region's layout slice, all carry
-    /// the value of the edge that jumped over them.
+    /// bypassed region, found through the region's layout slice, all
+    /// carry the value of the edge that jumped over them.
     pub fn solve<P: DataflowProblem>(&self, qpg: &Qpg, problem: &P) -> Result<Solution, QpgError> {
         let _span = pst_obs::Span::enter("qpg_solve");
-        let sparse = qpg.solve_sparse(problem);
-        // Every CFG node is either kept or inside exactly one bypassed
-        // region, so each slot is written once; the empty placeholders
-        // in between cost no allocation.
-        let n = self.cfg.node_count();
-        let mut inp = vec![BitSet::new(0); n];
-        let mut out = vec![BitSet::new(0); n];
-        for &(region, source, target) in &qpg.bypassed {
-            let value = match problem.flow() {
-                Flow::Forward => &sparse.out[source as usize],
-                Flow::Backward => &sparse.inp[target as usize],
-            };
+        let mut sparse = qpg.solve_sparse(problem);
+        // Where each CFG node's value comes from: its QPG node `q < kept`,
+        // or bypass `kept + i`. Every CFG node is kept or inside exactly
+        // one bypassed region, so each slot of the solution is written
+        // once, in node order.
+        let kept = qpg.node_count();
+        let mut source = vec![NONE; self.cfg.node_count()];
+        for (q, &node) in qpg.cfg_of.iter().enumerate() {
+            source[node.index()] = q as u32;
+        }
+        for (i, &(region, _, _)) in qpg.bypassed.iter().enumerate() {
             for &node in self.region_nodes(region) {
-                inp[node.index()] = value.clone();
-                out[node.index()] = value.clone();
+                source[node.index()] = (kept + i) as u32;
             }
         }
-        let kept = sparse.inp.into_iter().zip(sparse.out);
-        for (&node, (value_in, value_out)) in qpg.cfg_of.iter().zip(kept) {
-            inp[node.index()] = value_in;
-            out[node.index()] = value_out;
+        let mut inp: Vec<BitSet> = Vec::with_capacity(source.len());
+        let mut out: Vec<BitSet> = Vec::with_capacity(source.len());
+        for (node, &s) in source.iter().enumerate() {
+            let s = s as usize;
+            if s < kept {
+                // A kept node's values have this one slot: move them.
+                inp.push(std::mem::replace(&mut sparse.inp[s], BitSet::new(0)));
+                out.push(std::mem::replace(&mut sparse.out[s], BitSet::new(0)));
+                continue;
+            }
+            let &(_, from, to) = qpg
+                .bypassed
+                .get(s - kept)
+                .ok_or(QpgError::DetachedNode(NodeId::from_index(node)))?;
+            // The bypass edge carries the out value, in flow order, of
+            // the kept node it flows from (its source forward, its target
+            // backward). If that kept node's slot comes earlier, its
+            // value has already moved there.
+            let q = match problem.flow() {
+                Flow::Forward => from,
+                Flow::Backward => to,
+            } as usize;
+            let at = qpg.cfg_of[q].index();
+            let value = if at < node { &out[at] } else { &sparse.out[q] }.clone();
+            inp.push(value.clone());
+            out.push(value);
         }
         debug_assert!(inp.iter().all(|v| v.universe() == problem.universe()));
         Ok(Solution { inp, out })
@@ -443,5 +463,51 @@ impl<P: DataflowProblem> DataflowProblem for QpgProblem<'_, P> {
     }
     fn transfer(&self, node: NodeId) -> &GenKill {
         self.inner.transfer(self.cfg_of[node.index()])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use pst_lang::{lower_function, parse_function_body};
+    use pst_workloads::{generate_function, ProgramGenConfig};
+
+    use super::*;
+    use crate::{solve_iterative, LiveVariables, VeryBusyExpressions};
+
+    /// Backward problems project the out value of each bypass edge's
+    /// target; the property tests only solve forward ones through a QPG.
+    #[test]
+    fn backward_problems_project_onto_every_node() {
+        let mut bypassed = 0;
+        let handmade = parse_function_body(
+            "x = a; while (a > 0) { if (b) { } a = a - 1; } if (c) { } y = x + a; return y;",
+        )
+        .unwrap();
+        let generated = (0..40).map(|seed| {
+            let config = ProgramGenConfig {
+                target_stmts: 40,
+                ..Default::default()
+            };
+            generate_function("p", &config, seed)
+        });
+        for f in std::iter::once(handmade).chain(generated) {
+            let l = lower_function(&f).unwrap();
+            let pst = ProgramStructureTree::build(&l.cfg);
+            let live = LiveVariables::new(&l);
+            let qpg = Qpg::build(&l.cfg, &pst, &live).unwrap();
+            bypassed += qpg.bypassed.len();
+            assert_eq!(
+                qpg.solve(&l.cfg, &pst, &live).unwrap(),
+                solve_iterative(&l.cfg, &live)
+            );
+            let busy = VeryBusyExpressions::new(&l);
+            let qpg = Qpg::build(&l.cfg, &pst, &busy).unwrap();
+            bypassed += qpg.bypassed.len();
+            assert_eq!(
+                qpg.solve(&l.cfg, &pst, &busy).unwrap(),
+                solve_iterative(&l.cfg, &busy)
+            );
+        }
+        assert!(bypassed > 0, "no region was bypassed");
     }
 }

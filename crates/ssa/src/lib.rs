@@ -12,9 +12,11 @@
 //!   variable — the sparsity statistic of the paper's Figure 10.
 //!
 //! The two placements are provably identical (Theorem 9); the property
-//! tests check that on hundreds of generated programs, and the
-//! `phi_placement` bench shows where the PST version wins (nested
-//! repeat-until loops with quadratic dominance frontiers).
+//! tests check that on hundreds of generated programs. The
+//! `phi_cytron`/`phi_pst` rows of `experiments -- timing` time both over
+//! the corpus (the PST version is the faster), and `tests/scale.rs`
+//! checks where it wins by construction: nested repeat-until loops,
+//! whose global dominance frontiers are quadratic.
 //!
 //! # Examples
 //!

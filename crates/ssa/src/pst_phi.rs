@@ -15,13 +15,16 @@
 //! measured in the paper's Figure 10 and reproduced by
 //! [`PstPhiPlacement::fraction_examined`]. Exploiting nesting also defuses
 //! the quadratic dominance-frontier blow-up of nested repeat-until loops
-//! (each loop is its own region), which the `phi_placement` bench measures.
+//! (each loop is its own region); `tests/scale.rs` asserts that space
+//! claim, and the `phi_cytron`/`phi_pst` rows of `experiments -- timing`
+//! time both placements over the corpus.
+//!
+//! Every region's frontiers are computed once per function into one flat
+//! table, so a variable costs only its definition blocks, the regions
+//! they mark and the frontier entries its IDF visits.
 
-use std::collections::HashSet;
-
-use pst_cfg::{Graph, NodeId};
-use pst_core::{CollapsedNode, CollapsedRegion, ProgramStructureTree, RegionId};
-use pst_dominators::{dominance_frontiers, dominator_tree, iterated_dominance_frontier, Direction};
+use pst_cfg::{group_rows, NodeId};
+use pst_core::{CollapsedNode, CollapsedRegion, ProgramStructureTree};
 use pst_lang::{LoweredFunction, VarId};
 
 use crate::{PhiPlacement, SsaError};
@@ -46,27 +49,169 @@ impl PstPhiPlacement {
     }
 }
 
-/// Per-region analysis state, built lazily the first time a region is
-/// marked by any variable and reused across variables.
-struct RegionAnalysis {
-    /// The collapsed graph plus a synthetic entry node (so the region head
-    /// is a proper join when a backedge targets it).
-    graph: Graph,
-    entry: NodeId,
-    frontiers: Vec<Vec<NodeId>>,
+/// No postorder number, global id or block yet.
+const NONE: u32 = u32::MAX;
+
+/// What a global id of [`RegionFrontiers`] stands for, besides a CFG
+/// node (which stands for itself).
+const CHILD: u32 = u32::MAX - 1;
+const SYNTHETIC_ENTRY: u32 = u32::MAX;
+
+/// Every region's dominance frontiers in one flat table.
+///
+/// Each region's collapsed graph gets a synthetic entry with one edge to
+/// the region head, so the head is a proper join when a backedge targets
+/// it. Mini node `i` of region `r` has the global id `base[r] + i`, and
+/// the synthetic entry the id `base[r + 1] - 1`. The frontier of global
+/// id `g` is `list[start[g]..start[g + 1]]`, in global ids of the same
+/// region, so one worklist over global ids runs every region's IDF at
+/// once without mixing them.
+struct RegionFrontiers {
+    base: Vec<u32>,
+    start: Vec<u32>,
+    list: Vec<u32>,
 }
 
-fn region_analysis(mini: &CollapsedRegion) -> RegionAnalysis {
-    let mut graph = mini.graph.clone();
-    let entry = graph.add_node();
-    graph.add_edge(entry, mini.head);
-    let dt = dominator_tree(&graph, entry);
-    let frontiers = dominance_frontiers(&graph, &dt, Direction::Forward);
-    RegionAnalysis {
-        graph,
-        entry,
-        frontiers,
+impl RegionFrontiers {
+    /// Builds the table over all regions at once, in flat arrays of
+    /// global ids.
+    ///
+    /// Dominators follow Cooper, Harvey & Kennedy's iterative algorithm
+    /// ([`pst_dominators::iterative_dominator_tree`]), and frontiers their
+    /// walk from each predecessor of a join up to the join's immediate
+    /// dominator ([`pst_dominators::dominance_frontiers`], the oracle of
+    /// the tests).
+    fn build(collapsed: &[CollapsedRegion]) -> Self {
+        let mut base = Vec::with_capacity(collapsed.len() + 1);
+        let mut ids = 0u32;
+        for mini in collapsed {
+            base.push(ids);
+            ids += mini.graph.node_count() as u32 + 1;
+        }
+        base.push(ids);
+        let ids = ids as usize;
+
+        // Every region's edges and its synthetic entry edge.
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for (mini, &b) in collapsed.iter().zip(&base) {
+            let g = &mini.graph;
+            edges.extend(g.edges().map(|e| {
+                let (u, v) = g.endpoints(e);
+                (b + u.index() as u32, b + v.index() as u32)
+            }));
+            edges.push((b + g.node_count() as u32, b + mini.head.index() as u32));
+        }
+        let (succ_start, succ) = group_rows(ids, 0, || edges.iter().map(|&(u, v)| (u as usize, v)));
+        let (pred_start, pred) = group_rows(ids, 0, || edges.iter().map(|&(u, v)| (v as usize, u)));
+        let row = |start: &[u32], v: usize| start[v] as usize..start[v + 1] as usize;
+
+        // Postorder from each synthetic entry, numbered across regions,
+        // so one region's numbers are a contiguous range that ends at its
+        // entry; `idom` maps a number to its immediate dominator's.
+        let mut postorder = vec![NONE; ids];
+        let mut by_postorder: Vec<u32> = Vec::with_capacity(ids);
+        let mut idom: Vec<u32> = Vec::with_capacity(ids);
+        let mut stack: Vec<(u32, u32)> = Vec::new();
+        for &next_base in &base[1..] {
+            let entry = next_base - 1;
+            let first = by_postorder.len() as u32;
+            postorder[entry as usize] = 0; // on the stack until numbered
+            stack.push((entry, succ_start[entry as usize]));
+            while let Some(top) = stack.last_mut() {
+                let (v, next) = *top;
+                if next < succ_start[v as usize + 1] {
+                    top.1 += 1;
+                    let s = succ[next as usize];
+                    if postorder[s as usize] == NONE {
+                        postorder[s as usize] = 0;
+                        stack.push((s, succ_start[s as usize]));
+                    }
+                } else {
+                    postorder[v as usize] = by_postorder.len() as u32;
+                    by_postorder.push(v);
+                    stack.pop();
+                }
+            }
+            let root = by_postorder.len() as u32 - 1;
+            idom.resize(root as usize, NONE);
+            idom.push(root);
+
+            // Immediate dominators, iterated to a fixed point in reverse
+            // postorder.
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for po in (first..root).rev() {
+                    let v = by_postorder[po as usize] as usize;
+                    let mut new_idom = NONE;
+                    for &p in &pred[row(&pred_start, v)] {
+                        let pp = postorder[p as usize];
+                        if pp == NONE || idom[pp as usize] == NONE {
+                            continue; // unreachable, or not processed yet
+                        }
+                        new_idom = if new_idom == NONE {
+                            pp
+                        } else {
+                            intersect(&idom, new_idom, pp)
+                        };
+                    }
+                    if new_idom != NONE && idom[po as usize] != new_idom {
+                        idom[po as usize] = new_idom;
+                        changed = true;
+                    }
+                }
+            }
+        }
+
+        // Frontiers: walk from each predecessor of a join up to the
+        // join's immediate dominator. A walk that meets one made earlier
+        // for the same join stops there, so no pair repeats.
+        let mut walked = vec![NONE; by_postorder.len()];
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for b in 0..ids {
+            let bp = postorder[b];
+            let preds = &pred[row(&pred_start, b)];
+            if bp == NONE || idom[bp as usize] == bp || preds.len() < 2 {
+                continue; // unreachable, an entry, or not a join
+            }
+            let idom_b = idom[bp as usize];
+            for &p in preds {
+                let mut runner = postorder[p as usize];
+                while runner != NONE && runner != idom_b && walked[runner as usize] != b as u32 {
+                    walked[runner as usize] = b as u32;
+                    pairs.push((by_postorder[runner as usize], b as u32));
+                    let up = idom[runner as usize];
+                    runner = if up == runner { NONE } else { up };
+                }
+            }
+        }
+        let (start, list) =
+            group_rows(ids, 0, || pairs.iter().map(|&(v, join)| (v as usize, join)));
+        RegionFrontiers { base, start, list }
     }
+
+    /// Number of global ids.
+    fn ids(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The frontier of global id `id`.
+    fn of(&self, id: u32) -> &[u32] {
+        &self.list[self.start[id as usize] as usize..self.start[id as usize + 1] as usize]
+    }
+}
+
+/// Nearest common dominator of two postorder numbers.
+fn intersect(idom: &[u32], mut a: u32, mut b: u32) -> u32 {
+    while a != b {
+        while a < b {
+            a = idom[a as usize];
+        }
+        while b < a {
+            b = idom[b as usize];
+        }
+    }
+    a
 }
 
 /// Places φ-functions for every variable by divide-and-conquer over the
@@ -74,6 +219,11 @@ fn region_analysis(mini: &CollapsedRegion) -> RegionAnalysis {
 ///
 /// `collapsed` must come from [`pst_core::collapse_all`] on the same
 /// CFG/PST pair.
+///
+/// Every region's dominance frontiers are built once, up front, into one
+/// flat table. Each variable then costs time in proportion to what it
+/// touches: its definition blocks, the regions they mark, and the
+/// frontier entries its IDF visits.
 ///
 /// # Errors
 ///
@@ -102,76 +252,126 @@ pub fn place_phis_pst(
     collapsed: &[CollapsedRegion],
 ) -> Result<PstPhiPlacement, SsaError> {
     let _span = pst_obs::Span::enter("phi_pst");
-    let total_regions = pst.region_count();
-    let mut analyses: Vec<Option<RegionAnalysis>> = (0..total_regions).map(|_| None).collect();
-    let mut phis: Vec<Vec<NodeId>> = Vec::with_capacity(function.var_count());
-    let mut regions_examined = Vec::with_capacity(function.var_count());
+    place(function, pst, collapsed, &RegionFrontiers::build(collapsed))
+}
 
-    // One pass over the blocks collects every variable's definition sites
-    // (the paper: "by maintaining a list of definitions for each variable,
-    // we can perform the marking step in time proportional to the number
-    // of regions marked").
-    let mut def_sites: Vec<Vec<NodeId>> = vec![Vec::new(); function.var_count()];
+/// [`place_phis_pst`] over a prebuilt frontier table.
+fn place(
+    function: &LoweredFunction,
+    pst: &ProgramStructureTree,
+    collapsed: &[CollapsedRegion],
+    frontiers: &RegionFrontiers,
+) -> Result<PstPhiPlacement, SsaError> {
+    let total_regions = pst.region_count();
+    let entry = function.cfg.entry();
+
+    // The global id of every CFG node in its innermost region and of
+    // every region in its parent, and what each global id stands for.
+    let mut node_id = vec![NONE; function.cfg.node_count()];
+    let mut child_id = vec![NONE; total_regions];
+    let mut member = vec![SYNTHETIC_ENTRY; frontiers.ids()];
+    for (mini, &base) in collapsed.iter().zip(&frontiers.base) {
+        for (i, &m) in mini.members.iter().enumerate() {
+            let id = base + i as u32;
+            member[id as usize] = match m {
+                CollapsedNode::Interior(n) => {
+                    node_id[n.index()] = id;
+                    n.index() as u32
+                }
+                CollapsedNode::Child(c) => {
+                    child_id[c.index()] = id;
+                    CHILD
+                }
+            };
+        }
+    }
+
+    // One pass over the blocks collects every variable's definition
+    // blocks, once each (the paper: "by maintaining a list of definitions
+    // for each variable, we can perform the marking step in time
+    // proportional to the number of regions marked").
+    let mut defs: Vec<(usize, NodeId)> = Vec::new();
+    let mut last_block = vec![NONE; function.var_count()];
     for node in function.cfg.graph().nodes() {
         for s in &function.blocks[node.index()].stmts {
             if let Some(d) = s.def {
-                if def_sites[d.index()].last() != Some(&node) {
-                    def_sites[d.index()].push(node);
+                if last_block[d.index()] != node.index() as u32 {
+                    last_block[d.index()] = node.index() as u32;
+                    defs.push((d.index(), node));
                 }
             }
         }
     }
+    let (def_start, def_blocks) = group_rows(function.var_count(), entry, || defs.iter().copied());
 
-    for sites in def_sites.iter_mut().take(function.var_count()) {
-        let mut def_nodes = std::mem::take(sites);
+    // Per-variable state, stamped with the variable's number + 1 instead
+    // of cleared.
+    let mut marked_by = vec![0u32; total_regions];
+    let mut queued_by = vec![0u32; frontiers.ids()];
+    let mut placed_by = vec![0u32; frontiers.ids()];
+    let mut marked = Vec::new();
+    let mut work: Vec<u32> = Vec::new();
+    let mut phis: Vec<Vec<NodeId>> = Vec::with_capacity(function.var_count());
+    let mut regions_examined = Vec::with_capacity(function.var_count());
+    for (v, rows) in def_start.windows(2).enumerate() {
+        let stamp = v as u32 + 1;
         // The entry's implicit definition marks the root region.
-        if !def_nodes.contains(&function.cfg.entry()) {
-            def_nodes.push(function.cfg.entry());
-        }
+        let def_nodes = def_blocks[rows[0] as usize..rows[1] as usize]
+            .iter()
+            .copied()
+            .chain([entry]);
 
         // Step 1: mark every region containing an assignment (all
         // ancestors of the defining nodes' innermost regions).
-        let mut marked: HashSet<RegionId> = HashSet::new();
-        for &d in &def_nodes {
+        marked.clear();
+        for d in def_nodes.clone() {
             let mut r = Some(pst.region_of_node(d));
             while let Some(region) = r {
-                if !marked.insert(region) {
+                if marked_by[region.index()] == stamp {
                     break;
                 }
+                marked_by[region.index()] = stamp;
+                marked.push(region);
                 r = pst.parent(region);
             }
         }
         regions_examined.push(marked.len());
-        let mut defines_here = vec![false; function.cfg.node_count()];
-        for &d in &def_nodes {
-            defines_here[d.index()] = true;
-        }
 
-        // Steps 2–3: per marked region, seeds are the region entry,
-        // interior definitions, and marked children; run IDF locally.
+        // Steps 2–3: in each marked region the seeds are its interior
+        // definitions and its marked children (a marked child counts as
+        // a definition); the region entry is one too, but the synthetic
+        // entry dominates its region and so has an empty frontier. The
+        // IDF runs over every marked region at once.
+        work.clear();
+        let seeds = def_nodes.map(|d| node_id[d.index()]).chain(
+            marked
+                .iter()
+                .filter(|r| pst.parent(**r).is_some())
+                .map(|c| child_id[c.index()]),
+        );
+        for id in seeds {
+            if queued_by[id as usize] != stamp {
+                queued_by[id as usize] = stamp;
+                work.push(id);
+            }
+        }
         let mut result: Vec<NodeId> = Vec::new();
-        for &region in &marked {
-            let mini = &collapsed[region.index()];
-            let analysis = analyses[region.index()].get_or_insert_with(|| region_analysis(mini));
-            let mut seeds: Vec<NodeId> = vec![analysis.entry];
-            for (i, &member) in mini.members.iter().enumerate() {
-                let is_def = match member {
-                    CollapsedNode::Interior(n) => defines_here[n.index()],
-                    CollapsedNode::Child(c) => marked.contains(&c),
-                };
-                if is_def {
-                    seeds.push(NodeId::from_index(i));
+        while let Some(x) = work.pop() {
+            for &y in frontiers.of(x) {
+                if placed_by[y as usize] == stamp {
+                    continue;
+                }
+                placed_by[y as usize] = stamp;
+                match member[y as usize] {
+                    CHILD => return Err(SsaError::JoinAtRegionBoundary),
+                    SYNTHETIC_ENTRY => return Err(SsaError::JoinAtSyntheticEntry),
+                    n => result.push(NodeId::from_index(n as usize)),
+                }
+                if queued_by[y as usize] != stamp {
+                    queued_by[y as usize] = stamp;
+                    work.push(y);
                 }
             }
-            let idf = iterated_dominance_frontier(&analysis.frontiers, &seeds);
-            for m in idf {
-                match mini.members.get(m.index()) {
-                    Some(&CollapsedNode::Interior(n)) => result.push(n),
-                    Some(&CollapsedNode::Child(_)) => return Err(SsaError::JoinAtRegionBoundary),
-                    None => return Err(SsaError::JoinAtSyntheticEntry),
-                }
-            }
-            let _ = &analysis.graph; // graph retained for debugging/dumps
         }
         phis.push(result);
     }
@@ -199,10 +399,111 @@ pub fn place_phis_pst_unchecked(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+    use pst_core::collapse_all;
+    use pst_dominators::{dominance_frontiers, dominator_tree, Direction};
+    use pst_lang::{lower_function, parse_function_body};
+    use pst_workloads::{generate_function, ProgramGenConfig};
+
     use super::*;
     use crate::place_phis_cytron;
-    use pst_core::collapse_all;
-    use pst_lang::{lower_function, parse_function_body};
+
+    fn generated(seed: u64, goto: bool) -> LoweredFunction {
+        let config = ProgramGenConfig {
+            target_stmts: 60,
+            goto_prob: if goto { 0.12 } else { 0.0 },
+            ..Default::default()
+        };
+        lower_function(&generate_function("p", &config, seed)).unwrap()
+    }
+
+    /// Where the flat table first disagrees with `dominance_frontiers`
+    /// over each cloned mini graph plus its synthetic entry, compared as
+    /// sets.
+    fn table_difference(collapsed: &[CollapsedRegion], table: &RegionFrontiers) -> Option<String> {
+        for (r, mini) in collapsed.iter().enumerate() {
+            let mut g = mini.graph.clone();
+            let entry = g.add_node();
+            g.add_edge(entry, mini.head);
+            let dt = dominator_tree(&g, entry);
+            let want = dominance_frontiers(&g, &dt, Direction::Forward);
+            let base = table.base[r];
+            for (i, want) in want.iter().enumerate() {
+                let want: BTreeSet<u32> = want.iter().map(|n| base + n.index() as u32).collect();
+                let got: BTreeSet<u32> = table.of(base + i as u32).iter().copied().collect();
+                if got != want {
+                    return Some(format!("region {r}, mini node {i}: {got:?}, want {want:?}"));
+                }
+            }
+        }
+        None
+    }
+
+    /// Regions containing a definition block of `var` or the entry,
+    /// counted by containment queries rather than by walking parents.
+    fn regions_containing_defs(
+        l: &LoweredFunction,
+        pst: &ProgramStructureTree,
+        var: VarId,
+    ) -> usize {
+        let mut defs = l.definition_sites(var);
+        defs.push(l.cfg.entry());
+        pst.regions()
+            .filter(|&r| defs.iter().any(|&d| pst.contains_node(r, d)))
+            .count()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn frontier_table_and_theorem_9_path_match_their_oracles(
+            seed in 0u64..100_000,
+            goto in 0usize..2,
+        ) {
+            let l = generated(seed, goto == 1);
+            let pst = ProgramStructureTree::build(&l.cfg);
+            let collapsed = collapse_all(&l.cfg, &pst);
+            let table = RegionFrontiers::build(&collapsed);
+            prop_assert_eq!(table_difference(&collapsed, &table), None);
+            let sparse = place(&l, &pst, &collapsed, &table).unwrap();
+            prop_assert_eq!(&sparse.placement, &place_phis_cytron(&l));
+            for v in 0..l.var_count() {
+                let var = VarId::from_index(v);
+                let want = regions_containing_defs(&l, &pst, var);
+                prop_assert_eq!(sparse.regions_examined[v], want);
+            }
+        }
+    }
+
+    #[test]
+    fn a_dropped_frontier_entry_fails_the_cytron_comparison() {
+        let caught = (0..20u64).any(|seed| {
+            let l = generated(seed, seed % 2 == 1);
+            let pst = ProgramStructureTree::build(&l.cfg);
+            let collapsed = collapse_all(&l.cfg, &pst);
+            let table = RegionFrontiers::build(&collapsed);
+            let baseline = place_phis_cytron(&l);
+            (0..table.list.len()).any(|dropped| {
+                let mut mutated = RegionFrontiers {
+                    base: table.base.clone(),
+                    start: table.start.clone(),
+                    list: table.list.clone(),
+                };
+                mutated.list.remove(dropped);
+                for s in &mut mutated.start {
+                    if *s as usize > dropped {
+                        *s -= 1;
+                    }
+                }
+                assert!(table_difference(&collapsed, &mutated).is_some());
+                place(&l, &pst, &collapsed, &mutated).map(|p| p.placement) != Ok(baseline.clone())
+            })
+        });
+        assert!(caught, "no dropped frontier entry changed a placement");
+    }
 
     fn both(src: &str) -> (LoweredFunction, PhiPlacement, PstPhiPlacement) {
         let f = parse_function_body(src).unwrap();

@@ -6,10 +6,11 @@
 //! by a fixed multiple of the CFG size at every scale, mirroring the
 //! paper's O(E) story).
 //!
-//! The obs registry is process-global; tests that measure counters
-//! serialize on one lock and reset the registry first.
+//! The obs registry is process-global; every test that records counters
+//! serializes on one lock, and those that measure reset the registry
+//! first.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
 use pst_analysis::{lint_function, lint_graph, LintConfig};
@@ -19,8 +20,24 @@ use pst_workloads::{generate_function, random_cfg, ProgramGenConfig};
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
-fn locked() -> std::sync::MutexGuard<'static, ()> {
-    OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+/// Holds `OBS_LOCK` for one test or case. A test thread folds its
+/// thread-local registries into the global aggregate when it exits,
+/// which can be after the next test has reset and started measuring;
+/// dropping this guard clears them while the lock is still held.
+struct ObsLock {
+    _held: MutexGuard<'static, ()>,
+}
+
+impl Drop for ObsLock {
+    fn drop(&mut self) {
+        pst_obs::reset();
+    }
+}
+
+fn locked() -> ObsLock {
+    ObsLock {
+        _held: OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner()),
+    }
 }
 
 proptest! {
@@ -39,6 +56,7 @@ proptest! {
     /// so this test pins down exactly the always-silent set.
     #[test]
     fn correctness_rules_are_silent_on_structured_corpus(seed in 0u64..200) {
+        let _l = locked();
         let config = ProgramGenConfig {
             goto_prob: 0.0,
             ..ProgramGenConfig::default()
