@@ -21,7 +21,7 @@ use pst_dataflow::{solve_iterative, QpgContext, Seg, SingleVariableReachingDefs}
 use pst_dominators::{dominator_tree, iterative_dominator_tree, Direction};
 use pst_lang::VarId;
 use pst_obs::fmt_ns;
-use pst_ssa::{place_phis_cytron, place_phis_pst_unchecked};
+use pst_ssa::{place_phis_cytron, place_phis_pst};
 use pst_workloads::{random_cfg, PAPER_TABLE};
 
 fn main() {
@@ -438,11 +438,10 @@ fn timing(analyses: &[ProcAnalysis<'_>]) {
             "phi placement, PST divide-and-conquer",
             Box::new(|| {
                 for a in analyses {
-                    std::hint::black_box(place_phis_pst_unchecked(
-                        &a.procedure.lowered,
-                        &a.pst,
-                        &a.collapsed,
-                    ));
+                    std::hint::black_box(
+                        place_phis_pst(&a.procedure.lowered, &a.pst, &a.collapsed)
+                            .expect("CFG/PST pair is consistent"),
+                    );
                 }
             }),
         ),
@@ -481,7 +480,7 @@ fn timing(analyses: &[ProcAnalysis<'_>]) {
                     let l = &a.procedure.lowered;
                     for v in 0..l.var_count() {
                         let p = SingleVariableReachingDefs::new(l, VarId::from_index(v));
-                        let seg = Seg::build_unchecked(&l.cfg, &p);
+                        let seg = Seg::build(&l.cfg, &p).expect("reaching definitions is forward");
                         std::hint::black_box(seg.solve(&l.cfg, &p));
                     }
                 }

@@ -9,7 +9,7 @@ use pst_core::{
     classify_regions, collapse_all, CollapsedRegion, ProgramStructureTree, PstStats,
     RegionClassification, RegionKind,
 };
-use pst_ssa::{place_phis_cytron, place_phis_pst_unchecked};
+use pst_ssa::{place_phis_cytron, place_phis_pst};
 use pst_workloads::{paper_corpus, Corpus, Procedure};
 
 /// The seed every experiment uses, fixed so all outputs are reproducible.
@@ -62,7 +62,7 @@ pub fn phi_fractions(analyses: &[ProcAnalysis<'_>]) -> Vec<f64> {
     let mut fractions = Vec::new();
     for a in analyses {
         let l = &a.procedure.lowered;
-        let sparse = place_phis_pst_unchecked(l, &a.pst, &a.collapsed);
+        let sparse = place_phis_pst(l, &a.pst, &a.collapsed).expect("CFG/PST pair is consistent");
         let baseline = place_phis_cytron(l);
         assert_eq!(
             baseline, sparse.placement,

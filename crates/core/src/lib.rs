@@ -67,5 +67,5 @@ pub use dot::pst_to_dot;
 pub use incremental::{insert_edge, EdgeInsertion, InsertEdgeError};
 pub use pst::{ProgramStructureTree, PstSignature, RegionId};
 pub use sese::{canonical_regions, CanonicalRegions, OrderedClasses, SeseRegion};
-pub use slow_brackets::{cycle_equiv_slow_brackets, cycle_equiv_slow_brackets_unchecked};
+pub use slow_brackets::cycle_equiv_slow_brackets;
 pub use stats::PstStats;

@@ -39,23 +39,6 @@ pub fn cycle_equiv_slow_brackets(graph: &Graph, root: NodeId) -> Result<CycleEqu
     if let Some(unreached) = dfs.first_unreached() {
         return Err(CycleEquivError::Disconnected { root, unreached });
     }
-    Ok(slow_brackets_with_dfs(graph, &dfs))
-}
-
-/// [`cycle_equiv_slow_brackets`] without the connectivity check, mirroring
-/// [`CycleEquiv::compute_unchecked`] for callers (benchmarks, ablations)
-/// that feed graphs already known to be connected.
-pub fn cycle_equiv_slow_brackets_unchecked(graph: &Graph, root: NodeId) -> CycleEquiv {
-    let dfs = UndirectedDfs::new(graph, root);
-    debug_assert!(
-        dfs.is_connected(),
-        "cycle equivalence requires an undirected-connected graph"
-    );
-    slow_brackets_with_dfs(graph, &dfs)
-}
-
-/// Shared body: §3.3's explicit bracket sets over a connected DFS.
-fn slow_brackets_with_dfs(graph: &Graph, dfs: &UndirectedDfs) -> CycleEquiv {
     let n = graph.node_count();
     let m = graph.edge_count();
 
@@ -113,7 +96,7 @@ fn slow_brackets_with_dfs(graph: &Graph, dfs: &UndirectedDfs) -> CycleEquiv {
             UndirectedEdgeKind::Unreached => unreachable!("graph is connected"),
         }
     }
-    CycleEquiv::from_classes(raw)
+    Ok(CycleEquiv::from_classes(raw))
 }
 
 #[cfg(test)]

@@ -113,21 +113,6 @@ pub fn solve_elimination(
     Ok(Solution { inp, out })
 }
 
-/// [`solve_elimination`] for hot paths (benchmarks, pipeline tests) that
-/// have already validated the problem's direction.
-///
-/// # Panics
-///
-/// Panics where [`solve_elimination`] would return an error.
-pub fn solve_elimination_unchecked(
-    cfg: &Cfg,
-    pst: &ProgramStructureTree,
-    collapsed: &[CollapsedRegion],
-    problem: &impl DataflowProblem,
-) -> Solution {
-    solve_elimination(cfg, pst, collapsed, problem).expect("elimination solver preconditions hold")
-}
-
 /// Solves a region's collapsed graph for a concrete entry value; returns
 /// per-mini-node in/out values.
 fn local_solve(
@@ -262,15 +247,5 @@ mod tests {
             solve_elimination(&l.cfg, &pst, &collapsed, &lv),
             Err(crate::SolverError::BackwardUnsupported("elimination solver")),
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "preconditions")]
-    fn unchecked_variant_panics_on_backward_problems() {
-        let l = lower_function(&parse_function_body("x = 1; return x;").unwrap()).unwrap();
-        let pst = ProgramStructureTree::build(&l.cfg);
-        let collapsed = collapse_all(&l.cfg, &pst);
-        let lv = crate::LiveVariables::new(&l);
-        let _ = solve_elimination_unchecked(&l.cfg, &pst, &collapsed, &lv);
     }
 }

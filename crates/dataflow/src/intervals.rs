@@ -356,16 +356,6 @@ pub fn solve_intervals(
     Ok(Solution { inp, out })
 }
 
-/// [`solve_intervals`] for hot paths (benchmarks) that have already
-/// checked the problem's direction and the graph's reducibility.
-///
-/// # Panics
-///
-/// Panics where [`solve_intervals`] would return an error.
-pub fn solve_intervals_unchecked(cfg: &Cfg, problem: &impl DataflowProblem) -> Solution {
-    solve_intervals(cfg, problem).expect("interval elimination preconditions hold")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,19 +453,5 @@ mod tests {
             solve_intervals(&l.cfg, &lv),
             Err(crate::SolverError::BackwardUnsupported("interval elimination"))
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "preconditions")]
-    fn unchecked_variant_panics_on_irreducible_graphs() {
-        let l = lower_function(
-            &parse_function_body(
-                "if (c) { goto b; } a: x = x + 1; goto c; b: x = x - 1; c: if (x > 0) { goto a; } return x;",
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        let rd = ReachingDefinitions::new(&l);
-        let _ = solve_intervals_unchecked(&l.cfg, &rd);
     }
 }

@@ -51,10 +51,10 @@ mod qpg;
 mod seg;
 
 pub use bitset::BitSet;
-pub use elimination::{solve_elimination, solve_elimination_unchecked};
+pub use elimination::solve_elimination;
 pub use expressions::{AvailableExpressions, ExpressionTable, VeryBusyExpressions};
 pub use framework::{Confluence, DataflowProblem, Flow, GenKill, Solution, SolverError};
-pub use intervals::{derived_sequence, solve_intervals, solve_intervals_unchecked, DerivedSequence};
+pub use intervals::{derived_sequence, solve_intervals, DerivedSequence};
 pub use iterative::solve_iterative;
 pub use problems::{
     DefSite, DefiniteAssignment, LiveVariables, ReachingDefinitions, SingleVariableReachingDefs,

@@ -155,16 +155,6 @@ impl Seg {
         })
     }
 
-    /// [`build`](Self::build) for hot paths (benchmarks, experiments) that
-    /// have already validated the problem's direction.
-    ///
-    /// # Panics
-    ///
-    /// Panics where `build` would return an error.
-    pub fn build_unchecked(cfg: &Cfg, problem: &impl DataflowProblem) -> Self {
-        Self::build(cfg, problem).expect("SEG construction preconditions hold")
-    }
-
     /// Number of SEG nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -311,14 +301,6 @@ mod tests {
             Seg::build(&l.cfg, &lv),
             Err(crate::SolverError::BackwardUnsupported(_))
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "preconditions")]
-    fn unchecked_variant_panics_on_backward_problems() {
-        let l = lower_function(&parse_function_body("x = 1; return x;").unwrap()).unwrap();
-        let lv = crate::LiveVariables::new(&l);
-        let _ = Seg::build_unchecked(&l.cfg, &lv);
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! In the reproduced paper, Lengauer–Tarjan is the yardstick: the authors
 //! report that their cycle-equivalence pass (`pst-core`) runs *faster* than
 //! dominator computation, which is only the first step of all previous
-//! control-region algorithms. The benches in `pst-bench` reproduce that
-//! comparison. Postdominators (via [`Direction::Backward`] or
-//! [`postdominator_tree`]) and frontiers feed the control-dependence
-//! baselines (`pst-controldep`) and SSA construction (`pst-ssa`).
+//! control-region algorithms. `experiments -- timing` and pstbench's
+//! `core.cycle_equiv_vs_dominators` metric reproduce that comparison.
+//! Postdominators (via [`Direction::Backward`] or [`postdominator_tree`])
+//! and frontiers feed the control-dependence baselines (`pst-controldep`)
+//! and SSA construction (`pst-ssa`).
 //!
 //! # Examples
 //!

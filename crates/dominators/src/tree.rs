@@ -79,7 +79,7 @@ impl DomTree {
     /// `idom[n]` must be `None` exactly for the root and for unreachable
     /// nodes, and the parent links must form a tree rooted at `root`
     /// (e.g. the output of a divide-and-conquer computation such as
-    /// `pst-apps`' PST-based dominators).
+    /// `pst_ssa::dominator_tree_via_pst`).
     ///
     /// # Panics
     ///

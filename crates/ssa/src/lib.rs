@@ -11,6 +11,9 @@
 //!   [`PstPhiPlacement`] result records how many regions were examined per
 //!   variable — the sparsity statistic of the paper's Figure 10.
 //!
+//! The per-region dominator table behind [`place_phis_pst`] also gives
+//! §6.3's divide-and-conquer dominators, [`dominator_tree_via_pst`].
+//!
 //! The two placements are provably identical (Theorem 9); the property
 //! tests check that on hundreds of generated programs. The
 //! `phi_cytron`/`phi_pst` rows of `experiments -- timing` time both over
@@ -43,11 +46,13 @@
 #![warn(missing_docs)]
 
 mod cytron;
+mod domtree;
 mod error;
 mod pst_phi;
 mod rename;
 
 pub use cytron::{place_phis_cytron, PhiPlacement};
+pub use domtree::dominator_tree_via_pst;
 pub use error::SsaError;
-pub use pst_phi::{place_phis_pst, place_phis_pst_unchecked, PstPhiPlacement};
-pub use rename::{rename, rename_unchecked, PhiNode, SsaForm, SsaStmt, Version};
+pub use pst_phi::{place_phis_pst, PstPhiPlacement};
+pub use rename::{rename, PhiNode, SsaForm, SsaStmt, Version};

@@ -19,9 +19,12 @@
 //! claim, and the `phi_cytron`/`phi_pst` rows of `experiments -- timing`
 //! time both placements over the corpus.
 //!
-//! Every region's frontiers are computed once per function into one flat
-//! table, so a variable costs only its definition blocks, the regions
-//! they mark and the frontier entries its IDF visits.
+//! Every region's dominators and frontiers are computed once per function
+//! into one flat table, so a variable costs only its definition blocks,
+//! the regions they mark and the frontier entries its IDF visits.
+//!
+//! The same table gives the paper's §6.3 divide-and-conquer dominators
+//! ([`crate::dominator_tree_via_pst`]).
 
 use pst_cfg::{group_rows, NodeId};
 use pst_core::{CollapsedNode, CollapsedRegion, ProgramStructureTree};
@@ -57,7 +60,8 @@ const NONE: u32 = u32::MAX;
 const CHILD: u32 = u32::MAX - 1;
 const SYNTHETIC_ENTRY: u32 = u32::MAX;
 
-/// Every region's dominance frontiers in one flat table.
+/// Every region's dominator tree and dominance frontiers in one flat
+/// table.
 ///
 /// Each region's collapsed graph gets a synthetic entry with one edge to
 /// the region head, so the head is a proper join when a backedge targets
@@ -65,11 +69,18 @@ const SYNTHETIC_ENTRY: u32 = u32::MAX;
 /// the synthetic entry the id `base[r + 1] - 1`. The frontier of global
 /// id `g` is `list[start[g]..start[g + 1]]`, in global ids of the same
 /// region, so one worklist over global ids runs every region's IDF at
-/// once without mixing them.
-struct RegionFrontiers {
-    base: Vec<u32>,
+/// once without mixing them. `postorder[g]` numbers `g` in its region's
+/// postorder (`NONE` if unreachable), `by_postorder` maps numbers back to
+/// global ids, and `idom` maps a number to its immediate dominator's (an
+/// entry's is itself).
+#[derive(Clone)]
+pub(crate) struct RegionFrontiers {
+    pub(crate) base: Vec<u32>,
     start: Vec<u32>,
     list: Vec<u32>,
+    postorder: Vec<u32>,
+    by_postorder: Vec<u32>,
+    idom: Vec<u32>,
 }
 
 impl RegionFrontiers {
@@ -81,7 +92,7 @@ impl RegionFrontiers {
     /// walk from each predecessor of a join up to the join's immediate
     /// dominator ([`pst_dominators::dominance_frontiers`], the oracle of
     /// the tests).
-    fn build(collapsed: &[CollapsedRegion]) -> Self {
+    pub(crate) fn build(collapsed: &[CollapsedRegion]) -> Self {
         let mut base = Vec::with_capacity(collapsed.len() + 1);
         let mut ids = 0u32;
         for mini in collapsed {
@@ -187,7 +198,14 @@ impl RegionFrontiers {
         }
         let (start, list) =
             group_rows(ids, 0, || pairs.iter().map(|&(v, join)| (v as usize, join)));
-        RegionFrontiers { base, start, list }
+        RegionFrontiers {
+            base,
+            start,
+            list,
+            postorder,
+            by_postorder,
+            idom,
+        }
     }
 
     /// Number of global ids.
@@ -198,6 +216,17 @@ impl RegionFrontiers {
     /// The frontier of global id `id`.
     fn of(&self, id: u32) -> &[u32] {
         &self.list[self.start[id as usize] as usize..self.start[id as usize + 1] as usize]
+    }
+
+    /// The immediate dominator of global id `id` in its region, as a
+    /// global id; `None` for a synthetic entry or an unreachable id.
+    pub(crate) fn idom_of(&self, id: u32) -> Option<u32> {
+        let po = self.postorder[id as usize];
+        if po == NONE {
+            return None;
+        }
+        let up = self.idom[po as usize];
+        (up != po).then(|| self.by_postorder[up as usize])
     }
 }
 
@@ -383,22 +412,8 @@ fn place(
     })
 }
 
-/// [`place_phis_pst`] for hot paths (benchmarks, the verified pipeline)
-/// that have already validated the CFG/PST pair.
-///
-/// # Panics
-///
-/// Panics where [`place_phis_pst`] would return an error.
-pub fn place_phis_pst_unchecked(
-    function: &LoweredFunction,
-    pst: &ProgramStructureTree,
-    collapsed: &[CollapsedRegion],
-) -> PstPhiPlacement {
-    place_phis_pst(function, pst, collapsed).expect("CFG/PST pair is consistent")
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::collections::BTreeSet;
 
     use proptest::prelude::*;
@@ -410,7 +425,8 @@ mod tests {
     use super::*;
     use crate::place_phis_cytron;
 
-    fn generated(seed: u64, goto: bool) -> LoweredFunction {
+    /// A generated function of about 60 statements, with or without gotos.
+    pub(crate) fn generated(seed: u64, goto: bool) -> LoweredFunction {
         let config = ProgramGenConfig {
             target_stmts: 60,
             goto_prob: if goto { 0.12 } else { 0.0 },
@@ -476,6 +492,7 @@ mod tests {
                 prop_assert_eq!(sparse.regions_examined[v], want);
             }
         }
+
     }
 
     #[test]
@@ -487,11 +504,7 @@ mod tests {
             let table = RegionFrontiers::build(&collapsed);
             let baseline = place_phis_cytron(&l);
             (0..table.list.len()).any(|dropped| {
-                let mut mutated = RegionFrontiers {
-                    base: table.base.clone(),
-                    start: table.start.clone(),
-                    list: table.list.clone(),
-                };
+                let mut mutated = table.clone();
                 mutated.list.remove(dropped);
                 for s in &mut mutated.start {
                     if *s as usize > dropped {

@@ -78,10 +78,7 @@ impl SsaForm {
 /// // versions: 0 (entry), 1 and 2 (the arms), 3 (the phi)
 /// assert_eq!(ssa.version_count[x.index()], 4);
 /// ```
-pub fn rename(
-    function: &LoweredFunction,
-    placement: &PhiPlacement,
-) -> Result<SsaForm, SsaError> {
+pub fn rename(function: &LoweredFunction, placement: &PhiPlacement) -> Result<SsaForm, SsaError> {
     let _span = pst_obs::Span::enter("ssa_rename");
     let cfg = &function.cfg;
     let graph = cfg.graph();
@@ -189,16 +186,6 @@ pub fn rename(
         statements,
         version_count,
     })
-}
-
-/// [`rename`] for hot paths (benchmarks, examples) where the placement is
-/// known to belong to the function.
-///
-/// # Panics
-///
-/// Panics where [`rename`] would return an error.
-pub fn rename_unchecked(function: &LoweredFunction, placement: &PhiPlacement) -> SsaForm {
-    rename(function, placement).expect("placement belongs to the function")
 }
 
 #[cfg(test)]

@@ -14,13 +14,16 @@ cargo clippy --workspace -- -D warnings
 echo "== test =="
 cargo test -q
 
-echo "== test: φ-placement and region-collapse fast paths vs their oracles, 2000 cases =="
-# The flat frontier table and the Theorem-9 path (PST placement = Cytron,
-# regions examined = an independent count), the linear collapse_all
-# against its quadratic predecessor, and the PST-vs-Cytron proptests.
+echo "== test: φ-placement, PST dominators and region collapse vs their oracles, 2000 cases =="
+# The flat per-region table and the Theorem-9 path (PST placement =
+# Cytron, regions examined = an independent count), the §6.3 dominator
+# splice against Lengauer–Tarjan (in domtree::tests and, with incremental
+# insertion, in cross_validation), the linear collapse_all against its
+# quadratic predecessor, and the PST-vs-Cytron proptests.
 PROPTEST_CASES=2000 cargo test -q --release -p pst-ssa --test proptest_phi
-PROPTEST_CASES=2000 cargo test -q --release -p pst-ssa --lib pst_phi::tests
+PROPTEST_CASES=2000 cargo test -q --release -p pst-ssa --lib -- pst_phi::tests domtree::tests
 PROPTEST_CASES=2000 cargo test -q --release -p pst-core --lib collapse::tests
+PROPTEST_CASES=2000 cargo test -q --release -p pst-integration --test cross_validation
 
 echo "== test: pstbench (the benchmark's own checks) =="
 # The benchmark is a workspace of its own; its self-tests prove that

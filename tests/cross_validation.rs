@@ -123,7 +123,7 @@ proptest! {
         let collapsed = collapse_all(&l.cfg, &pst);
 
         // Dominators via the PST equal Lengauer–Tarjan.
-        let via_pst = pst_apps::dominator_tree_via_pst(&l.cfg, &pst, &collapsed);
+        let via_pst = pst_ssa::dominator_tree_via_pst(&l.cfg, &pst, &collapsed);
         let lt = pst_dominators::dominator_tree(l.cfg.graph(), l.cfg.entry());
         for node in l.cfg.graph().nodes() {
             prop_assert_eq!(via_pst.idom(node), lt.idom(node));
