@@ -15,7 +15,7 @@ pub(crate) fn irreducible_loops(cfg: &Cfg, sink: &mut Sink<'_>) {
     };
     let graph = cfg.graph();
     pst_obs::counter!("lint_structural_work", (graph.node_count() + graph.edge_count()) as u64);
-    let witness = reducibility(graph, cfg.entry(), None);
+    let witness = reducibility(graph, cfg.entry());
     for &e in witness.irreducible_edges() {
         let (s, t) = graph.endpoints(e);
         sink.push(Diagnostic {

@@ -157,11 +157,6 @@ impl Cfg {
         let back = g.add_edge(self.exit, self.entry);
         (g, back)
     }
-
-    /// Consumes the CFG and returns the underlying graph.
-    pub fn into_graph(self) -> Graph {
-        self.graph
-    }
 }
 
 /// Incremental builder for [`Cfg`]s.

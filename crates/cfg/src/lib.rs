@@ -17,6 +17,9 @@
 //! * [`UndirectedDfs`] — the undirected traversal at the heart of the
 //!   linear-time cycle-equivalence algorithm (tree edges + backedges only),
 //! * [`Sccs`] — strongly connected components,
+//! * [`Postorder`] / [`Dominators`] — the one depth-first postorder from
+//!   one or more roots and the one iterative (Cooper–Harvey–Kennedy)
+//!   dominator routine over it, for callers walking their own adjacency,
 //! * [`reducibility`] / [`is_reducible`] — the reducibility test used by
 //!   the region classifier, with irreducible retreating edges as witness,
 //! * [`EdgeSplit`] — the edge-subdivision transform used as a definitional
@@ -60,6 +63,7 @@ mod dot;
 mod graph;
 mod group;
 mod ids;
+mod postorder;
 mod reducibility;
 mod scc;
 mod split;
@@ -78,6 +82,7 @@ pub use dot::{cfg_to_dot, graph_to_dot, graph_to_dot_with};
 pub use graph::Graph;
 pub use group::group_rows;
 pub use ids::{EdgeId, NodeId};
+pub use postorder::{Dominators, Postorder};
 pub use reducibility::{is_reducible, reducibility, Reducibility};
 pub use scc::{is_strongly_connected, Sccs};
 pub use split::EdgeSplit;

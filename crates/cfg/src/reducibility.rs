@@ -12,8 +12,12 @@
 //! dominates its source. [`reducibility`] uses the second formulation so
 //! that, when the answer is "no", it can hand back the offending
 //! retreating edges as a witness; [`is_reducible`] is the thin boolean
-//! wrapper kept for existing callers. The T1/T2 reducer survives as a
-//! test-only cross-check of the dominator-based answer.
+//! wrapper kept for existing callers. One search gives both halves:
+//! [`Dominators`] numbers the graph in depth-first postorder, where an
+//! edge is retreating exactly when its target's number is at least its
+//! source's, and computes the dominators over that numbering. The T1/T2
+//! reducer survives as an independent oracle of the dominator-based
+//! answer (`debug_assert`ed on every call).
 //!
 //! The paper's Theorem 10 states that every SESE region of a reducible
 //! graph is itself reducible; the classifier in `pst-core` uses this test
@@ -22,7 +26,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::{EdgeId, Graph, NodeId};
+use crate::{Dominators, EdgeId, Graph, NodeId};
 
 /// Result of a reducibility test: either the graph is reducible, or the
 /// retreating edges that break reducibility witness why it is not.
@@ -34,7 +38,7 @@ use crate::{EdgeId, Graph, NodeId};
 /// // 0 branches to both 1 and 2, which form a cycle: irreducible, and
 /// // the offending retreating edge closes the two-entry cycle.
 /// let cfg = parse_edge_list("0->1 0->2 1->2 2->1 1->3 2->3").unwrap();
-/// let r = reducibility(cfg.graph(), cfg.entry(), None);
+/// let r = reducibility(cfg.graph(), cfg.entry());
 /// assert!(!r.is_reducible());
 /// assert_eq!(r.irreducible_edges().len(), 1);
 /// ```
@@ -44,7 +48,7 @@ pub struct Reducibility {
 }
 
 impl Reducibility {
-    /// Whether the tested (sub)graph is reducible.
+    /// Whether the tested graph is reducible.
     pub fn is_reducible(&self) -> bool {
         self.irreducible_edges.is_empty()
     }
@@ -57,13 +61,12 @@ impl Reducibility {
     }
 }
 
-/// Tests the subgraph of `graph` induced by `alive` (or the whole graph)
-/// for reducibility when entered at `entry`, returning irreducible
-/// retreating edges as a witness.
+/// Tests `graph` for reducibility when entered at `entry`, returning
+/// irreducible retreating edges as a witness.
 ///
-/// Nodes unreachable from `entry` inside the induced subgraph are ignored —
-/// a region interior is always reachable from its entry, so this matches
-/// the classifier's needs while keeping the function total.
+/// Nodes unreachable from `entry` are ignored — a region interior is
+/// always reachable from its entry, so this matches the classifier's
+/// needs while keeping the function total.
 ///
 /// # Examples
 ///
@@ -72,178 +75,41 @@ impl Reducibility {
 /// ```
 /// use pst_cfg::{parse_edge_list, reducibility};
 /// let natural = parse_edge_list("0->1 1->2 2->1 2->3").unwrap();
-/// assert!(reducibility(natural.graph(), natural.entry(), None).is_reducible());
+/// assert!(reducibility(natural.graph(), natural.entry()).is_reducible());
 ///
 /// let irr = parse_edge_list("0->1 0->2 1->2 2->1 1->3 2->3").unwrap();
-/// let r = reducibility(irr.graph(), irr.entry(), None);
+/// let r = reducibility(irr.graph(), irr.entry());
 /// assert!(!r.is_reducible());
 /// assert!(!r.irreducible_edges().is_empty());
 /// ```
-pub fn reducibility(graph: &Graph, entry: NodeId, alive: Option<&[bool]>) -> Reducibility {
-    let n = graph.node_count();
-    let in_scope = |node: NodeId| alive.is_none_or(|a| a[node.index()]);
-    if !in_scope(entry) {
-        return Reducibility {
-            irreducible_edges: Vec::new(),
-        };
-    }
-
-    // Iterative DFS over the induced subgraph, collecting retreating edges
-    // (target currently on the tree path) and a DFS preorder for the
-    // dominator pass below. `Dfs` cannot be reused here: it has no notion
-    // of an induced subgraph.
-    let mut state = vec![0u8; n]; // 0 = unvisited, 1 = on path, 2 = done
-    let mut preorder: Vec<NodeId> = Vec::new();
-    let mut retreating: Vec<EdgeId> = Vec::new();
-    // (node, position into its out-edge list)
-    let mut stack: Vec<(NodeId, usize)> = vec![(entry, 0)];
-    state[entry.index()] = 1;
-    preorder.push(entry);
-    while let Some(&mut (v, ref mut next)) = stack.last_mut() {
-        let out = graph.out_edges(v);
-        if *next == out.len() {
-            state[v.index()] = 2;
-            stack.pop();
-            continue;
-        }
-        let e = out[*next];
-        *next += 1;
-        let t = graph.target(e);
-        if !in_scope(t) {
-            continue;
-        }
-        match state[t.index()] {
-            0 => {
-                state[t.index()] = 1;
-                preorder.push(t);
-                stack.push((t, 0));
-            }
-            1 => retreating.push(e), // includes self-loops
-            _ => {}
-        }
-    }
-    if preorder.len() <= 1 {
-        // A single node can at most carry self-loops, and those are
-        // trivially dominated by their own target.
-        return Reducibility {
-            irreducible_edges: Vec::new(),
-        };
-    }
-
-    // Iterative immediate-dominator computation (Cooper–Harvey–Kennedy)
-    // over the reachable induced subgraph, in reverse postorder. The
-    // dominators crate sits above this one in the workspace, so a small
-    // self-contained pass is used instead of importing it.
-    let rpo = reverse_postorder(graph, entry, &in_scope, &|node| state[node.index()] != 0);
-    let mut rpo_index = vec![usize::MAX; n];
-    for (i, &v) in rpo.iter().enumerate() {
-        rpo_index[v.index()] = i;
-    }
-    const UNDEF: usize = usize::MAX;
-    let mut idom = vec![UNDEF; rpo.len()]; // by rpo index
-    idom[0] = 0;
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for (i, &v) in rpo.iter().enumerate().skip(1) {
-            let mut new_idom = UNDEF;
-            for e in graph.in_edges(v) {
-                let p = graph.source(*e);
-                if !in_scope(p) || state[p.index()] == 0 {
-                    continue;
-                }
-                let pi = rpo_index[p.index()];
-                if idom[pi] == UNDEF {
-                    continue;
-                }
-                new_idom = if new_idom == UNDEF {
-                    pi
-                } else {
-                    intersect(&idom, new_idom, pi)
-                };
-            }
-            if new_idom != UNDEF && idom[i] != new_idom {
-                idom[i] = new_idom;
-                changed = true;
-            }
-        }
-    }
-    let dominates = |a: usize, mut b: usize| -> bool {
-        // Walk b's idom chain up to the root; rpo indices strictly
-        // decrease along the chain.
-        loop {
-            if a == b {
-                return true;
-            }
-            if b == 0 {
-                return false;
-            }
-            b = idom[b];
-        }
-    };
-
-    let mut irreducible_edges: Vec<EdgeId> = retreating
-        .into_iter()
+pub fn reducibility(graph: &Graph, entry: NodeId) -> Reducibility {
+    let node = NodeId::from_index;
+    let dom = Dominators::new(
+        graph.node_count(),
+        [entry.index()],
+        |v| graph.successors(node(v)).map(NodeId::index),
+        |v| graph.predecessors(node(v)).map(NodeId::index),
+    );
+    // An edge from a reached node is retreating (its target is on the
+    // search's tree path to its source, or is the source) exactly when
+    // its target finishes no earlier than its source.
+    let number = |x: NodeId| dom.order().number(x.index());
+    let irreducible_edges: Vec<EdgeId> = graph
+        .edges()
         .filter(|&e| {
-            let (u, v) = (graph.source(e), graph.target(e));
-            !dominates(rpo_index[v.index()], rpo_index[u.index()])
+            let (u, v) = graph.endpoints(e);
+            number(u).is_some() && number(v) >= number(u) && !dom.dominates(v.index(), u.index())
         })
         .collect();
-    irreducible_edges.sort_unstable();
-    irreducible_edges.dedup();
     debug_assert_eq!(
         irreducible_edges.is_empty(),
-        t1_t2_is_reducible(graph, entry, alive),
+        t1_t2_is_reducible(graph, entry),
         "dominator-based witness disagrees with the T1/T2 reducer"
     );
     Reducibility { irreducible_edges }
 }
 
-/// Reverse postorder of the reachable induced subgraph, entry first.
-fn reverse_postorder(
-    graph: &Graph,
-    entry: NodeId,
-    in_scope: &impl Fn(NodeId) -> bool,
-    reached: &impl Fn(NodeId) -> bool,
-) -> Vec<NodeId> {
-    let n = graph.node_count();
-    let mut visited = vec![false; n];
-    let mut postorder: Vec<NodeId> = Vec::new();
-    let mut stack: Vec<(NodeId, usize)> = vec![(entry, 0)];
-    visited[entry.index()] = true;
-    while let Some(&mut (v, ref mut next)) = stack.last_mut() {
-        let out = graph.out_edges(v);
-        if *next == out.len() {
-            postorder.push(v);
-            stack.pop();
-            continue;
-        }
-        let t = graph.target(out[*next]);
-        *next += 1;
-        if in_scope(t) && reached(t) && !visited[t.index()] {
-            visited[t.index()] = true;
-            stack.push((t, 0));
-        }
-    }
-    postorder.reverse();
-    postorder
-}
-
-/// CHK two-finger intersection over rpo-indexed idoms.
-fn intersect(idom: &[usize], mut a: usize, mut b: usize) -> usize {
-    while a != b {
-        while a > b {
-            a = idom[a];
-        }
-        while b > a {
-            b = idom[b];
-        }
-    }
-    a
-}
-
-/// Whether the subgraph of `graph` induced by `alive` (or the whole graph)
-/// is reducible when entered at `entry`.
+/// Whether `graph` is reducible when entered at `entry`.
 ///
 /// Thin wrapper over [`reducibility`] kept for callers that only need the
 /// boolean answer.
@@ -253,38 +119,22 @@ fn intersect(idom: &[usize], mut a: usize, mut b: usize) -> usize {
 /// ```
 /// use pst_cfg::{parse_edge_list, is_reducible};
 /// let natural = parse_edge_list("0->1 1->2 2->1 2->3").unwrap();
-/// assert!(is_reducible(natural.graph(), natural.entry(), None));
+/// assert!(is_reducible(natural.graph(), natural.entry()));
 ///
 /// // 0 branches to both 1 and 2, which form a cycle: irreducible.
 /// let irr = parse_edge_list("0->1 0->2 1->2 2->1 1->3 2->3").unwrap();
-/// assert!(!is_reducible(irr.graph(), irr.entry(), None));
+/// assert!(!is_reducible(irr.graph(), irr.entry()));
 /// ```
-pub fn is_reducible(graph: &Graph, entry: NodeId, alive: Option<&[bool]>) -> bool {
-    reducibility(graph, entry, alive).is_reducible()
+pub fn is_reducible(graph: &Graph, entry: NodeId) -> bool {
+    reducibility(graph, entry).is_reducible()
 }
 
 /// The classic T1/T2 interval reducer, retained as an independent oracle
 /// for the dominator-based test (`debug_assert`ed on every call and
 /// cross-checked exhaustively by the tests).
-fn t1_t2_is_reducible(graph: &Graph, entry: NodeId, alive: Option<&[bool]>) -> bool {
+fn t1_t2_is_reducible(graph: &Graph, entry: NodeId) -> bool {
     let n = graph.node_count();
-    let in_scope = |node: NodeId| alive.is_none_or(|a| a[node.index()]);
-    if !in_scope(entry) {
-        return true;
-    }
-
-    // Collect reachable-in-scope nodes.
-    let mut reach = vec![false; n];
-    let mut stack = vec![entry];
-    reach[entry.index()] = true;
-    while let Some(v) = stack.pop() {
-        for s in graph.successors(v) {
-            if in_scope(s) && !reach[s.index()] {
-                reach[s.index()] = true;
-                stack.push(s);
-            }
-        }
-    }
+    let reach = graph.reachable_from(entry);
 
     // Mutable successor/predecessor sets over representative nodes.
     // BTreeSet keeps iteration deterministic.
@@ -361,15 +211,15 @@ mod tests {
 
     fn check(desc: &str) -> bool {
         let cfg = parse_edge_list(desc).unwrap();
-        let r = reducibility(cfg.graph(), cfg.entry(), None);
+        let r = reducibility(cfg.graph(), cfg.entry());
         assert_eq!(
             r.is_reducible(),
-            t1_t2_is_reducible(cfg.graph(), cfg.entry(), None),
+            t1_t2_is_reducible(cfg.graph(), cfg.entry()),
             "witness test and T1/T2 disagree on {desc}"
         );
         assert_eq!(
             r.is_reducible(),
-            is_reducible(cfg.graph(), cfg.entry(), None),
+            is_reducible(cfg.graph(), cfg.entry()),
             "bool wrapper must match on {desc}"
         );
         r.is_reducible()
@@ -411,40 +261,6 @@ mod tests {
         assert!(!check("0->1 0->3 1->2 2->3 3->4 4->1 2->5 4->5"));
     }
 
-    #[test]
-    fn alive_mask_restricts_scope() {
-        // Whole graph irreducible, but the region {0,1,5} is fine.
-        let cfg = parse_edge_list("0->1 0->2 1->2 2->1 1->3 2->3 3->4").unwrap();
-        let mut alive = vec![false; cfg.node_count()];
-        alive[0] = true;
-        alive[3] = true;
-        alive[4] = true;
-        assert!(is_reducible(cfg.graph(), cfg.entry(), Some(&alive)));
-        assert!(!is_reducible(cfg.graph(), cfg.entry(), None));
-        assert!(reducibility(cfg.graph(), cfg.entry(), Some(&alive))
-            .irreducible_edges()
-            .is_empty());
-    }
-
-    #[test]
-    fn entry_outside_scope_is_vacuously_reducible() {
-        let cfg = parse_edge_list("0->1 1->2").unwrap();
-        let alive = vec![false; 3];
-        assert!(is_reducible(cfg.graph(), cfg.entry(), Some(&alive)));
-    }
-
-    #[test]
-    fn single_node_subgraph() {
-        let cfg = parse_edge_list("0->1 1->2").unwrap();
-        let mut alive = vec![false; 3];
-        alive[1] = true;
-        assert!(is_reducible(
-            cfg.graph(),
-            crate::NodeId::from_index(1),
-            Some(&alive)
-        ));
-    }
-
     /// Table-driven witness checks: for each input, the expected witness
     /// set as `source->target` endpoint pairs (edge ids depend on parse
     /// order, endpoints don't).
@@ -477,7 +293,7 @@ mod tests {
         ];
         for (desc, expected) in table {
             let cfg = parse_edge_list(desc).unwrap();
-            let r = reducibility(cfg.graph(), cfg.entry(), None);
+            let r = reducibility(cfg.graph(), cfg.entry());
             let mut got: Vec<(usize, usize)> = r
                 .irreducible_edges()
                 .iter()
@@ -518,10 +334,10 @@ mod tests {
             let Ok(cfg) = parse_edge_list(&desc) else {
                 continue;
             };
-            let r = reducibility(cfg.graph(), cfg.entry(), None);
+            let r = reducibility(cfg.graph(), cfg.entry());
             assert_eq!(
                 r.is_reducible(),
-                t1_t2_is_reducible(cfg.graph(), cfg.entry(), None),
+                t1_t2_is_reducible(cfg.graph(), cfg.entry()),
                 "disagreement on {desc}"
             );
         }
@@ -532,7 +348,7 @@ mod tests {
         // Parallel copies of the irreducible retreating edge: both ids
         // appear in the witness set.
         let cfg = parse_edge_list("0->1 0->2 1->2 2->1 2->1 1->3 2->3").unwrap();
-        let r = reducibility(cfg.graph(), cfg.entry(), None);
+        let r = reducibility(cfg.graph(), cfg.entry());
         assert_eq!(r.irreducible_edges().len(), 2);
         for &e in r.irreducible_edges() {
             assert_eq!(

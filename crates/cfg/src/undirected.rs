@@ -164,12 +164,6 @@ impl UndirectedDfs {
         self.nodes_by_dfsnum.len() == self.node_count
     }
 
-    /// Whether `node` was reached by the search.
-    #[inline]
-    pub fn is_reached(&self, node: NodeId) -> bool {
-        self.visited[node.index()]
-    }
-
     /// The lowest-numbered node the search did not reach, if any.
     pub fn first_unreached(&self) -> Option<NodeId> {
         self.visited
@@ -188,12 +182,6 @@ impl UndirectedDfs {
     #[inline]
     pub fn dfsnum(&self, node: NodeId) -> usize {
         self.dfsnum[node.index()] as usize
-    }
-
-    /// The node with the given depth-first number.
-    #[inline]
-    pub fn node_with_dfsnum(&self, dfsnum: usize) -> NodeId {
-        self.nodes_by_dfsnum[dfsnum]
     }
 
     /// Nodes in discovery order (index = dfsnum).

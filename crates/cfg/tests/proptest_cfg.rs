@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use pst_cfg::{
-    is_reducible, is_strongly_connected, Dfs, DirectedEdgeKind, EdgeSplit, Graph, NodeId, Sccs,
-    UndirectedDfs, UndirectedEdgeKind,
+    is_reducible, is_strongly_connected, reducibility, Dfs, DirectedEdgeKind, EdgeId, EdgeSplit,
+    Graph, NodeId, Sccs, UndirectedDfs, UndirectedEdgeKind,
 };
 
 /// Arbitrary directed multigraph (possibly disconnected).
@@ -114,27 +114,36 @@ proptest! {
         }
     }
 
-    /// Reducibility via T1/T2 equals the dominator-backedge criterion:
-    /// a graph is reducible iff every retreating DFS edge's target
-    /// dominates its source.
+    /// The reducibility witness is exactly the set of `Dfs` back edges
+    /// whose target Lengauer–Tarjan does not find dominating their
+    /// source, on random CFGs and on generated functions with gotos. (A
+    /// graph is reducible iff every retreating edge's target dominates
+    /// its source, so the boolean answers agree too.)
     #[test]
     fn reducibility_matches_dominator_criterion(n in 3usize..20, extra in 0usize..20, seed in 0u64..10_000) {
-        let cfg = pst_workloads::random_cfg(n, extra, seed).unwrap();
-        let g = cfg.graph();
-        let dfs = Dfs::new(g, cfg.entry());
-        let dt = pst_dominators::dominator_tree(g, cfg.entry());
-        let dominator_criterion = g.edges().all(|e| {
-            if dfs.edge_kind(e) == Some(DirectedEdgeKind::Back) {
-                let (s, t) = g.endpoints(e);
-                dt.dominates(t, s)
-            } else {
-                true
-            }
-        });
-        prop_assert_eq!(
-            is_reducible(g, cfg.entry(), None),
-            dominator_criterion
-        );
+        let random = pst_workloads::random_cfg(n, extra, seed).unwrap();
+        let config = pst_workloads::ProgramGenConfig {
+            target_stmts: 60,
+            goto_prob: 0.12,
+            ..Default::default()
+        };
+        let function = pst_workloads::generate_function("p", &config, seed);
+        let lowered = pst_lang::lower_function(&function).unwrap();
+        for cfg in [&random, &lowered.cfg] {
+            let g = cfg.graph();
+            let dfs = Dfs::new(g, cfg.entry());
+            let dt = pst_dominators::dominator_tree(g, cfg.entry());
+            let refuted: Vec<EdgeId> = g
+                .edges()
+                .filter(|&e| {
+                    let (s, t) = g.endpoints(e);
+                    dfs.edge_kind(e) == Some(DirectedEdgeKind::Back) && !dt.dominates(t, s)
+                })
+                .collect();
+            let r = reducibility(g, cfg.entry());
+            prop_assert_eq!(r.irreducible_edges(), &refuted[..]);
+            prop_assert_eq!(is_reducible(g, cfg.entry()), refuted.is_empty());
+        }
     }
 
     /// Edge splitting preserves node dominance among original nodes.

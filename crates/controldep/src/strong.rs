@@ -153,14 +153,8 @@ impl StrongControlDeps {
     /// Builds the artifact for an arbitrary digraph (no exit, so no
     /// classic relation) — the form `pst fuzz` and graph lints use.
     pub fn of_graph(graph: &Graph) -> StrongControlDeps {
-        StrongControlDeps::of_graph_budgeted(graph, DEFAULT_DOD_BUDGET)
-    }
-
-    /// [`StrongControlDeps::of_graph`] with an explicit DOD work
-    /// budget (see [`Dod::compute_budgeted`]).
-    pub fn of_graph_budgeted(graph: &Graph, dod_budget: u64) -> StrongControlDeps {
         let _span = pst_obs::Span::enter("strong_controldep");
-        let dod = Dod::compute_budgeted(graph, dod_budget);
+        let dod = Dod::compute_budgeted(graph, DEFAULT_DOD_BUDGET);
         StrongControlDeps::build(graph, None, dod)
     }
 

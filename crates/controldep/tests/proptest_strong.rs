@@ -30,7 +30,7 @@ fn random_dag(n: usize, extra: usize, seed: u64) -> Graph {
     let nodes = g.add_nodes(n);
     // A spine keeps most of the graph reachable.
     for i in 0..n - 1 {
-        if next(&mut state) % 4 != 0 {
+        if !next(&mut state).is_multiple_of(4) {
             g.add_edge(nodes[i], nodes[i + 1]);
         }
     }

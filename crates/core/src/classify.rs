@@ -138,7 +138,7 @@ fn classify_mini(mini: &Graph, head: NodeId) -> RegionKind {
         return RegionKind::Block;
     }
     if has_cycle(mini) {
-        return if is_reducible(mini, head, None) {
+        return if is_reducible(mini, head) {
             RegionKind::Loop
         } else {
             RegionKind::Unstructured

@@ -312,14 +312,6 @@ impl ProgramStructureTree {
             .collect()
     }
 
-    /// All nodes inside `region` at any depth (O(N) scan).
-    pub fn all_nodes(&self, region: RegionId) -> Vec<NodeId> {
-        (0..self.node_region.len())
-            .filter(|&i| self.region_contains(region, self.node_region[i]))
-            .map(NodeId::from_index)
-            .collect()
-    }
-
     /// The child of `region` that contains `node`, if `node` is in a
     /// proper sub-region; `None` if `node` is interior to `region` itself
     /// (or outside it entirely).

@@ -1,6 +1,6 @@
 //! The classical worklist (iterative) solver.
 
-use pst_cfg::{Cfg, NodeId};
+use pst_cfg::{Cfg, NodeId, Postorder};
 
 use crate::{Confluence, DataflowProblem, Flow, Solution};
 
@@ -29,74 +29,45 @@ pub fn solve_iterative(cfg: &Cfg, problem: &impl DataflowProblem) -> Solution {
     let graph = cfg.graph();
     let n = graph.node_count();
     let node = NodeId::from_index;
+    let succ = |v| graph.successors(node(v)).map(NodeId::index);
+    let pred = |v| graph.predecessors(node(v)).map(NodeId::index);
     match problem.flow() {
         Flow::Forward => {
             let root = cfg.entry().index();
-            let order =
-                reverse_postorder(n, root, |v| graph.successors(node(v)).map(NodeId::index));
-            fixed_point(problem, root, &order, |v| {
-                graph.predecessors(node(v)).map(NodeId::index)
-            })
+            fixed_point(problem, root, &Postorder::new(n, [root], succ), pred)
         }
         Flow::Backward => {
             let root = cfg.exit().index();
-            let order =
-                reverse_postorder(n, root, |v| graph.predecessors(node(v)).map(NodeId::index));
-            fixed_point(problem, root, &order, |v| {
-                graph.successors(node(v)).map(NodeId::index)
-            })
+            fixed_point(problem, root, &Postorder::new(n, [root], pred), succ)
         }
     }
 }
 
-/// Reverse postorder of the nodes `0..n` reachable from `root`, following
-/// `next` in the order it yields (a recursive DFS's order). When some
-/// node is unreachable, all of `0..n` in index order instead, so that
-/// every node is still visited.
-pub(crate) fn reverse_postorder<I: Iterator<Item = usize>>(
-    n: usize,
-    root: usize,
-    next: impl Fn(usize) -> I,
-) -> Vec<usize> {
-    let mut seen = vec![false; n];
-    let mut post = Vec::with_capacity(n);
-    seen[root] = true;
-    let mut stack = vec![(root, next(root))];
-    while let Some((v, succs)) = stack.last_mut() {
-        match succs.next() {
-            Some(w) if !seen[w] => {
-                seen[w] = true;
-                stack.push((w, next(w)));
-            }
-            Some(_) => {}
-            None => {
-                post.push(*v);
-                stack.pop();
-            }
-        }
-    }
-    if post.len() != n {
-        return (0..n).collect();
-    }
-    post.reverse();
-    post
-}
-
-/// Round-robin iteration to the fixed point over nodes `0..order.len()`:
-/// `root` holds the boundary value, `flow_preds(v)` lists the nodes whose
-/// `out` meets into `v`'s `in`. One scratch set carries every meet, and
-/// values are overwritten in place, so a visit allocates nothing.
+/// Round-robin iteration to the fixed point over the nodes `0..n` that
+/// `order` numbers: `root` holds the boundary value, `flow_preds(v)`
+/// lists the nodes whose `out` meets into `v`'s `in`. Nodes are visited
+/// in reverse `order`, or in index order when some node is unreached, so
+/// that every node is still visited. One scratch set carries every meet,
+/// and values are overwritten in place, so a visit allocates nothing.
 pub(crate) fn fixed_point<P, I>(
     problem: &P,
     root: usize,
-    order: &[usize],
+    order: &Postorder,
     flow_preds: impl Fn(usize) -> I,
 ) -> Solution
 where
     P: DataflowProblem,
     I: Iterator<Item = usize>,
 {
-    let n = order.len();
+    let n = order.node_count();
+    let reached = order.nodes();
+    let visit = |i: usize| {
+        if reached.len() == n {
+            reached[n - 1 - i] as usize
+        } else {
+            i
+        }
+    };
     let top = problem.top();
     let mut inp = vec![top.clone(); n];
     let mut out = vec![top.clone(); n];
@@ -112,7 +83,7 @@ where
     let mut changed = true;
     while changed {
         changed = false;
-        for &node in order {
+        for node in (0..n).map(visit) {
             if node == root {
                 continue;
             }

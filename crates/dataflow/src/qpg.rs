@@ -9,10 +9,10 @@
 //! bypassed stretch with a single edge; the paper reports QPGs averaging
 //! under 10 % of the statement-level CFG.
 
-use pst_cfg::{Cfg, EdgeId, NodeId, ValidateCfgError};
+use pst_cfg::{group_rows, Cfg, EdgeId, NodeId, Postorder, ValidateCfgError};
 use pst_core::{ProgramStructureTree, RegionId};
 
-use crate::iterative::{fixed_point, reverse_postorder};
+use crate::iterative::fixed_point;
 use crate::{BitSet, Confluence, DataflowProblem, Flow, GenKill, Solution};
 
 /// Why QPG construction or solving failed.
@@ -158,11 +158,11 @@ impl Qpg {
         let m = self.node_count();
         match problem.flow() {
             Flow::Forward => {
-                let order = reverse_postorder(m, 0, |q| self.succs(q));
+                let order = Postorder::new(m, [0], |q| self.succs(q));
                 fixed_point(&wrapper, 0, &order, |q| self.preds(q))
             }
             Flow::Backward => {
-                let order = reverse_postorder(m, self.exit, |q| self.preds(q));
+                let order = Postorder::new(m, [self.exit], |q| self.preds(q));
                 fixed_point(&wrapper, self.exit, &order, |q| self.succs(q))
             }
         }
@@ -178,46 +178,12 @@ impl Qpg {
         if self.succs(self.exit).next().is_some() {
             return Err(ValidateCfgError::ExitHasSuccessor(self.cfg_of[self.exit]));
         }
-        let mut reaches = vec![false; self.node_count()];
-        reaches[self.exit] = true;
-        let mut stack = vec![self.exit];
-        while let Some(q) = stack.pop() {
-            for p in self.preds(q) {
-                if !reaches[p] {
-                    reaches[p] = true;
-                    stack.push(p);
-                }
-            }
-        }
-        match reaches.iter().position(|&r| !r) {
+        let reaches = Postorder::new(self.node_count(), [self.exit], |q| self.preds(q));
+        match (0..self.node_count()).find(|&q| reaches.number(q).is_none()) {
             Some(q) => Err(ValidateCfgError::CannotReachExit(self.cfg_of[q])),
             None => Ok(()),
         }
     }
-}
-
-/// `(start, list)` adjacency of nodes `0..m`: `list[start[v]..start[v+1]]`
-/// holds the `value`s of the edges whose `key` is `v`, in edge order.
-fn adjacency(
-    m: usize,
-    edges: &[(u32, u32)],
-    key: fn(&(u32, u32)) -> (u32, u32),
-) -> (Vec<u32>, Vec<u32>) {
-    let mut start = vec![0u32; m + 1];
-    for e in edges {
-        start[key(e).0 as usize + 1] += 1;
-    }
-    for v in 0..m {
-        start[v + 1] += start[v];
-    }
-    let mut fill = start.clone();
-    let mut list = vec![0u32; edges.len()];
-    for e in edges {
-        let (k, value) = key(e);
-        list[fill[k as usize] as usize] = value;
-        fill[k as usize] += 1;
-    }
-    (start, list)
 }
 
 /// Shared state for building and solving many QPGs over one CFG/PST
@@ -374,8 +340,8 @@ impl<'a> QpgContext<'a> {
             return Err(QpgError::DetachedNode(self.cfg.exit()));
         }
         let m = cfg_of.len();
-        let (succ_start, succ) = adjacency(m, &edges, |&(s, t)| (s, t));
-        let (pred_start, pred) = adjacency(m, &edges, |&(s, t)| (t, s));
+        let (succ_start, succ) = group_rows(m, 0, || edges.iter().map(|&(s, t)| (s as usize, t)));
+        let (pred_start, pred) = group_rows(m, 0, || edges.iter().map(|&(s, t)| (t as usize, s)));
         let qpg = Qpg {
             cfg_of,
             exit: exit as usize,

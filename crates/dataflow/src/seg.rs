@@ -27,9 +27,6 @@ pub struct Seg {
     /// The SEG nodes (CFG node ids), sorted: entry + non-transparent
     /// nodes + meet nodes.
     nodes: Vec<NodeId>,
-    /// Whether each SEG node is a meet node (gets its value from several
-    /// incoming edges) as opposed to a pass-through/transfer node.
-    is_meet: Vec<bool>,
     /// SEG edges as `(from, to)` positions into `nodes`. A non-meet node
     /// has exactly one incoming edge (except the entry, which has none).
     edges: Vec<(usize, usize)>,
@@ -84,7 +81,6 @@ impl Seg {
         for (i, &n) in nodes.iter().enumerate() {
             pos[n.index()] = i;
         }
-        let is_meet: Vec<bool> = nodes.iter().map(|&n| meet_flag[n.index()]).collect();
 
         // Dominator-tree walk with a "current SEG node" stack, exactly
         // like single-variable SSA renaming.
@@ -148,7 +144,6 @@ impl Seg {
         let entry_pos = pos[cfg.entry().index()];
         Ok(Seg {
             nodes,
-            is_meet,
             edges,
             covering,
             entry_pos,
@@ -163,12 +158,6 @@ impl Seg {
     /// Number of SEG edges.
     pub fn edge_count(&self) -> usize {
         self.edges.len()
-    }
-
-    /// Number of meet (φ-like) nodes — the part of the SEG the iterated
-    /// dominance frontier contributes.
-    pub fn meet_count(&self) -> usize {
-        self.is_meet.iter().filter(|&&m| m).count()
     }
 
     /// The CFG nodes participating in the SEG.

@@ -3,13 +3,13 @@
 //!
 //! Asymptotically worse than Lengauer–Tarjan but very fast in practice; we
 //! keep it both as an independent oracle for the LT implementation and as a
-//! second baseline for the paper's timing comparison.
+//! second baseline for the paper's timing comparison. The routine itself is
+//! the workspace's one iterative dominator kernel, [`pst_cfg::Dominators`];
+//! this module wraps its answer in a [`DomTree`].
 
-use pst_cfg::{Graph, NodeId};
+use pst_cfg::{Dominators, Graph, NodeId};
 
 use crate::{Direction, DomTree};
-
-const UNDEF: usize = usize::MAX;
 
 /// Computes the dominator tree of `graph` from `root` following `dir`
 /// using the Cooper–Harvey–Kennedy iterative algorithm.
@@ -32,89 +32,16 @@ const UNDEF: usize = usize::MAX;
 /// ```
 pub fn iterative_dominator_tree(graph: &Graph, root: NodeId, dir: Direction) -> DomTree {
     let n = graph.node_count();
-    // Postorder numbering of reachable nodes (iterative DFS).
-    let mut postorder_of = vec![UNDEF; n]; // node -> postorder number
-    let mut by_postorder: Vec<usize> = Vec::new(); // postorder number -> node
-    {
-        let mut visited = vec![false; n];
-        let mut stack: Vec<(usize, Vec<NodeId>, usize)> = Vec::new();
-        visited[root.index()] = true;
-        let succs: Vec<NodeId> = dir.successors(graph, root).collect();
-        stack.push((root.index(), succs, 0));
-        while let Some(&mut (v, ref succs, ref mut next)) = stack.last_mut() {
-            if *next < succs.len() {
-                let s = succs[*next];
-                *next += 1;
-                if !visited[s.index()] {
-                    visited[s.index()] = true;
-                    let ss: Vec<NodeId> = dir.successors(graph, s).collect();
-                    stack.push((s.index(), ss, 0));
-                }
-            } else {
-                postorder_of[v] = by_postorder.len();
-                by_postorder.push(v);
-                stack.pop();
-            }
-        }
-    }
-    let reached = by_postorder.len();
-
-    // idoms in postorder-number space.
-    let mut idom = vec![UNDEF; reached];
-    let root_po = postorder_of[root.index()];
-    idom[root_po] = root_po;
-
-    let intersect = |idom: &[usize], mut a: usize, mut b: usize| -> usize {
-        while a != b {
-            while a < b {
-                a = idom[a];
-            }
-            while b < a {
-                b = idom[b];
-            }
-        }
-        a
+    let node = NodeId::from_index;
+    let succ = |v| graph.successors(node(v)).map(NodeId::index);
+    let pred = |v| graph.predecessors(node(v)).map(NodeId::index);
+    let dom = match dir {
+        Direction::Forward => Dominators::new(n, [root.index()], succ, pred),
+        Direction::Backward => Dominators::new(n, [root.index()], pred, succ),
     };
-
-    let mut changed = true;
-    while changed {
-        changed = false;
-        // Reverse postorder, skipping the root.
-        for po in (0..reached).rev() {
-            if po == root_po {
-                continue;
-            }
-            let node = by_postorder[po];
-            let mut new_idom = UNDEF;
-            for p in dir.predecessors(graph, NodeId::from_index(node)) {
-                let ppo = postorder_of[p.index()];
-                if ppo == UNDEF || idom[ppo] == UNDEF {
-                    continue; // unreachable or not yet processed
-                }
-                new_idom = if new_idom == UNDEF {
-                    ppo
-                } else {
-                    intersect(&idom, new_idom, ppo)
-                };
-            }
-            if new_idom != UNDEF && idom[po] != new_idom {
-                idom[po] = new_idom;
-                changed = true;
-            }
-        }
-    }
-
-    let mut out = vec![None; n];
-    let mut reachable = vec![false; n];
-    for po in 0..reached {
-        reachable[by_postorder[po]] = true;
-    }
-    for po in 0..reached {
-        if po != root_po {
-            out[by_postorder[po]] = Some(NodeId::from_index(by_postorder[idom[po]]));
-        }
-    }
-    DomTree::from_idoms(root, out, reachable)
+    let idom = (0..n).map(|v| dom.idom(v).map(node)).collect();
+    let reachable = (0..n).map(|v| dom.order().number(v).is_some()).collect();
+    DomTree::from_idoms(root, idom, reachable)
 }
 
 #[cfg(test)]

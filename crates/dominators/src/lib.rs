@@ -5,7 +5,9 @@
 //! and the Cooper–Harvey–Kennedy iterative formulation
 //! ([`iterative_dominator_tree`]) — plus dominance frontiers and iterated
 //! dominance frontiers ([`dominance_frontiers`],
-//! [`iterated_dominance_frontier`]).
+//! [`iterated_dominance_frontier`]). The iterative one is the workspace's
+//! shared kernel, [`pst_cfg::Dominators`], which reducibility testing and
+//! PST φ-placement also run on; Lengauer–Tarjan is its oracle.
 //!
 //! In the reproduced paper, Lengauer–Tarjan is the yardstick: the authors
 //! report that their cycle-equivalence pass (`pst-core`) runs *faster* than

@@ -684,7 +684,7 @@ mod tests {
         assert_eq!(l.definition_sites(n).len(), 1);
         // Loop creates a cycle.
         assert!(
-            !pst_cfg::is_reducible(l.cfg.graph(), l.cfg.entry(), None) || {
+            !pst_cfg::is_reducible(l.cfg.graph(), l.cfg.entry()) || {
                 // reducible is fine; just confirm a backedge exists
                 true
             }
@@ -763,7 +763,7 @@ mod tests {
              c: if (x > 0) { goto a; }
              return x;",
         );
-        assert!(!pst_cfg::is_reducible(l.cfg.graph(), l.cfg.entry(), None));
+        assert!(!pst_cfg::is_reducible(l.cfg.graph(), l.cfg.entry()));
     }
 
     #[test]

@@ -146,8 +146,7 @@ proptest! {
         // Reducible: no gotos were generated.
         prop_assert!(pst_cfg::is_reducible(
             lowered.cfg.graph(),
-            lowered.cfg.entry(),
-            None
+            lowered.cfg.entry()
         ));
     }
 }

@@ -543,11 +543,6 @@ pub fn reset() {
     imp::reset();
 }
 
-/// Convenience: the current total of one counter.
-pub fn counter_value(name: &str) -> u64 {
-    report().counter(name)
-}
-
 /// Drains the calling thread's counter, gauge, histogram, and completed
 /// unit-sub-report registries into the global aggregate immediately.
 ///

@@ -20,7 +20,9 @@
 //! (so `--metrics-json` carries per-unit sub-reports), and — when a
 //! journal is installed — one `unit_summary` event per request.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Once;
 use std::time::Instant;
 
 use pst_analysis::{Analysis, LintConfig};
@@ -415,55 +417,24 @@ impl Session {
         }
     }
 
-    /// The envelope the server loop emits for a line that exceeded
-    /// [`ServeConfig::max_request_bytes`]. No id: the line was dropped
-    /// unparsed.
-    pub fn oversized_reply(&mut self, actual: usize) -> Reply {
-        self.requests += 1;
-        pst_obs::counter!("serve_requests");
-        self.error_reply(
-            &Json::Null,
-            ErrorCode::OversizedRequest,
-            &format!(
-                "request line is {actual} bytes; the limit is {} (--max-request-bytes)",
-                self.config.max_request_bytes
-            ),
-        )
-    }
-
-    /// The envelope the server loop emits for a non-UTF-8 request line.
-    pub fn invalid_utf8_reply(&mut self, valid_up_to: usize) -> Reply {
-        self.requests += 1;
-        pst_obs::counter!("serve_requests");
-        self.error_reply(
-            &Json::Null,
-            ErrorCode::InvalidUtf8,
-            &format!("request line is not valid UTF-8 (first invalid byte at offset {valid_up_to})"),
-        )
-    }
-
     fn error_reply(&mut self, id: &Json, code: ErrorCode, message: &str) -> Reply {
         pst_obs::counter!("serve_errors");
         Reply::of(error_response(id, code, message))
     }
 
-    /// Runs a unit-bearing method under panic containment. The default
-    /// panic hook is suppressed for the duration (panics are contained
-    /// and reported as data, same as the fuzz loop), and a panicking
-    /// request evicts the unit it touched — its interned artifacts are
-    /// suspect.
+    /// Runs a unit-bearing method under panic containment. A contained
+    /// panic prints nothing (it is reported as data, same as the fuzz
+    /// loop; see [`contain`]), and a panicking request evicts the unit it
+    /// touched — its interned artifacts are suspect.
     fn handle_analysis(&mut self, req: &Request, started: Instant) -> Reply {
         self.touched = None;
-        let previous_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let outcome = contain(|| {
             // Fold this request's thread-local counters into the global
             // aggregate even if it panics: work done before the crash is
             // data, not noise.
             let _fold = pst_obs::fold_on_drop();
             self.answer(req)
-        }));
-        std::panic::set_hook(previous_hook);
+        });
         let nanos = started.elapsed().as_nanos() as u64;
         pst_obs::histogram!("serve_request_nanos", nanos);
         let failed_outcome = |method: Method| crate::metrics::RequestOutcome {
@@ -789,6 +760,32 @@ fn fault_inject(_kind: &str) -> Result<(), MethodError> {
         "fault injection is not compiled into this build (rebuild with --features fault-inject)"
             .to_string(),
     ))
+}
+
+thread_local! {
+    /// Whether this thread is inside [`contain`].
+    static CONTAINED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f`, catching its panic. The first call installs, once for the
+/// process, a panic hook that is silent on a thread inside `contain` and
+/// otherwise calls the hook it replaced: requests run on many threads,
+/// and two that swapped the process-wide hook and restored it out of
+/// order would leave a silent one behind.
+fn contain<R>(f: impl FnOnce() -> R) -> std::thread::Result<R> {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !CONTAINED.with(Cell::get) {
+                previous(info);
+            }
+        }));
+    });
+    CONTAINED.with(|c| c.set(true));
+    let outcome = catch_unwind(AssertUnwindSafe(f));
+    CONTAINED.with(|c| c.set(false));
+    outcome
 }
 
 /// Best-effort extraction of a panic payload message (same shape as the

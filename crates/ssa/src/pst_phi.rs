@@ -26,7 +26,7 @@
 //! The same table gives the paper's §6.3 divide-and-conquer dominators
 //! ([`crate::dominator_tree_via_pst`]).
 
-use pst_cfg::{group_rows, NodeId};
+use pst_cfg::{group_rows, Dominators, NodeId};
 use pst_core::{CollapsedNode, CollapsedRegion, ProgramStructureTree};
 use pst_lang::{LoweredFunction, VarId};
 
@@ -52,7 +52,7 @@ impl PstPhiPlacement {
     }
 }
 
-/// No postorder number, global id or block yet.
+/// No global id or block yet.
 const NONE: u32 = u32::MAX;
 
 /// What a global id of [`RegionFrontiers`] stands for, besides a CFG
@@ -69,29 +69,25 @@ const SYNTHETIC_ENTRY: u32 = u32::MAX;
 /// the synthetic entry the id `base[r + 1] - 1`. The frontier of global
 /// id `g` is `list[start[g]..start[g + 1]]`, in global ids of the same
 /// region, so one worklist over global ids runs every region's IDF at
-/// once without mixing them. `postorder[g]` numbers `g` in its region's
-/// postorder (`NONE` if unreachable), `by_postorder` maps numbers back to
-/// global ids, and `idom` maps a number to its immediate dominator's (an
-/// entry's is itself).
+/// once without mixing them. `dom` holds every region's dominator tree
+/// over global ids, one per synthetic entry.
 #[derive(Clone)]
 pub(crate) struct RegionFrontiers {
     pub(crate) base: Vec<u32>,
     start: Vec<u32>,
     list: Vec<u32>,
-    postorder: Vec<u32>,
-    by_postorder: Vec<u32>,
-    idom: Vec<u32>,
+    dom: Dominators,
 }
 
 impl RegionFrontiers {
     /// Builds the table over all regions at once, in flat arrays of
     /// global ids.
     ///
-    /// Dominators follow Cooper, Harvey & Kennedy's iterative algorithm
-    /// ([`pst_dominators::iterative_dominator_tree`]), and frontiers their
-    /// walk from each predecessor of a join up to the join's immediate
-    /// dominator ([`pst_dominators::dominance_frontiers`], the oracle of
-    /// the tests).
+    /// Dominators come from the shared iterative kernel
+    /// ([`pst_cfg::Dominators`]) with every synthetic entry as a root, and
+    /// frontiers from Cooper, Harvey & Kennedy's walk from each
+    /// predecessor of a join up to the join's immediate dominator
+    /// ([`pst_dominators::dominance_frontiers`], the oracle of the tests).
     pub(crate) fn build(collapsed: &[CollapsedRegion]) -> Self {
         let mut base = Vec::with_capacity(collapsed.len() + 1);
         let mut ids = 0u32;
@@ -115,84 +111,35 @@ impl RegionFrontiers {
         let (succ_start, succ) = group_rows(ids, 0, || edges.iter().map(|&(u, v)| (u as usize, v)));
         let (pred_start, pred) = group_rows(ids, 0, || edges.iter().map(|&(u, v)| (v as usize, u)));
         let row = |start: &[u32], v: usize| start[v] as usize..start[v + 1] as usize;
-
-        // Postorder from each synthetic entry, numbered across regions,
-        // so one region's numbers are a contiguous range that ends at its
-        // entry; `idom` maps a number to its immediate dominator's.
-        let mut postorder = vec![NONE; ids];
-        let mut by_postorder: Vec<u32> = Vec::with_capacity(ids);
-        let mut idom: Vec<u32> = Vec::with_capacity(ids);
-        let mut stack: Vec<(u32, u32)> = Vec::new();
-        for &next_base in &base[1..] {
-            let entry = next_base - 1;
-            let first = by_postorder.len() as u32;
-            postorder[entry as usize] = 0; // on the stack until numbered
-            stack.push((entry, succ_start[entry as usize]));
-            while let Some(top) = stack.last_mut() {
-                let (v, next) = *top;
-                if next < succ_start[v as usize + 1] {
-                    top.1 += 1;
-                    let s = succ[next as usize];
-                    if postorder[s as usize] == NONE {
-                        postorder[s as usize] = 0;
-                        stack.push((s, succ_start[s as usize]));
-                    }
-                } else {
-                    postorder[v as usize] = by_postorder.len() as u32;
-                    by_postorder.push(v);
-                    stack.pop();
-                }
-            }
-            let root = by_postorder.len() as u32 - 1;
-            idom.resize(root as usize, NONE);
-            idom.push(root);
-
-            // Immediate dominators, iterated to a fixed point in reverse
-            // postorder.
-            let mut changed = true;
-            while changed {
-                changed = false;
-                for po in (first..root).rev() {
-                    let v = by_postorder[po as usize] as usize;
-                    let mut new_idom = NONE;
-                    for &p in &pred[row(&pred_start, v)] {
-                        let pp = postorder[p as usize];
-                        if pp == NONE || idom[pp as usize] == NONE {
-                            continue; // unreachable, or not processed yet
-                        }
-                        new_idom = if new_idom == NONE {
-                            pp
-                        } else {
-                            intersect(&idom, new_idom, pp)
-                        };
-                    }
-                    if new_idom != NONE && idom[po as usize] != new_idom {
-                        idom[po as usize] = new_idom;
-                        changed = true;
-                    }
-                }
-            }
-        }
+        let dom = Dominators::new(
+            ids,
+            base[1..].iter().map(|&next_base| next_base as usize - 1),
+            |v| succ[row(&succ_start, v)].iter().map(|&s| s as usize),
+            |v| pred[row(&pred_start, v)].iter().map(|&p| p as usize),
+        );
 
         // Frontiers: walk from each predecessor of a join up to the
         // join's immediate dominator. A walk that meets one made earlier
         // for the same join stops there, so no pair repeats.
-        let mut walked = vec![NONE; by_postorder.len()];
+        let mut walked = vec![NONE; ids];
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         for b in 0..ids {
-            let bp = postorder[b];
             let preds = &pred[row(&pred_start, b)];
-            if bp == NONE || idom[bp as usize] == bp || preds.len() < 2 {
-                continue; // unreachable, an entry, or not a join
+            let Some(idom_b) = dom.idom(b) else {
+                continue; // unreachable, or an entry
+            };
+            if preds.len() < 2 {
+                continue; // not a join
             }
-            let idom_b = idom[bp as usize];
             for &p in preds {
-                let mut runner = postorder[p as usize];
-                while runner != NONE && runner != idom_b && walked[runner as usize] != b as u32 {
-                    walked[runner as usize] = b as u32;
-                    pairs.push((by_postorder[runner as usize], b as u32));
-                    let up = idom[runner as usize];
-                    runner = if up == runner { NONE } else { up };
+                let mut runner = Some(p as usize).filter(|&p| dom.order().number(p).is_some());
+                while let Some(r) = runner {
+                    if r == idom_b || walked[r] == b as u32 {
+                        break;
+                    }
+                    walked[r] = b as u32;
+                    pairs.push((r as u32, b as u32));
+                    runner = dom.idom(r);
                 }
             }
         }
@@ -202,9 +149,7 @@ impl RegionFrontiers {
             base,
             start,
             list,
-            postorder,
-            by_postorder,
-            idom,
+            dom,
         }
     }
 
@@ -221,26 +166,8 @@ impl RegionFrontiers {
     /// The immediate dominator of global id `id` in its region, as a
     /// global id; `None` for a synthetic entry or an unreachable id.
     pub(crate) fn idom_of(&self, id: u32) -> Option<u32> {
-        let po = self.postorder[id as usize];
-        if po == NONE {
-            return None;
-        }
-        let up = self.idom[po as usize];
-        (up != po).then(|| self.by_postorder[up as usize])
+        self.dom.idom(id as usize).map(|up| up as u32)
     }
-}
-
-/// Nearest common dominator of two postorder numbers.
-fn intersect(idom: &[u32], mut a: u32, mut b: u32) -> u32 {
-    while a != b {
-        while a < b {
-            a = idom[a as usize];
-        }
-        while b < a {
-            b = idom[b as usize];
-        }
-    }
-    a
 }
 
 /// Places φ-functions for every variable by divide-and-conquer over the

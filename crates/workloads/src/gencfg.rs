@@ -329,13 +329,13 @@ mod tests {
         let c = diamond_ladder(3);
         assert_eq!(c.node_count(), 3 * 3 + 2);
         assert_eq!(c.edge_count(), 4 * 3 + 1);
-        assert!(is_reducible(c.graph(), c.entry(), None));
+        assert!(is_reducible(c.graph(), c.entry()));
     }
 
     #[test]
     fn while_nest_is_reducible_and_cyclic() {
         let c = nested_while_loops(4);
-        assert!(is_reducible(c.graph(), c.entry(), None));
+        assert!(is_reducible(c.graph(), c.entry()));
         let dfs = pst_cfg::Dfs::new(c.graph(), c.entry());
         let backs = c
             .graph()
@@ -348,7 +348,7 @@ mod tests {
     #[test]
     fn repeat_until_nest_shape() {
         let c = nested_repeat_until(5);
-        assert!(is_reducible(c.graph(), c.entry(), None));
+        assert!(is_reducible(c.graph(), c.entry()));
         let dfs = pst_cfg::Dfs::new(c.graph(), c.entry());
         let backs = c
             .graph()
@@ -361,7 +361,7 @@ mod tests {
     #[test]
     fn mesh_is_irreducible() {
         let c = irreducible_mesh(6);
-        assert!(!is_reducible(c.graph(), c.entry(), None));
+        assert!(!is_reducible(c.graph(), c.entry()));
     }
 
     #[test]

@@ -429,7 +429,7 @@ mod tests {
         for seed in 0..50 {
             let f = generate_function("f", &c, seed);
             let lowered = lower_function(&f).unwrap();
-            if !pst_cfg::is_reducible(lowered.cfg.graph(), lowered.cfg.entry(), None) {
+            if !pst_cfg::is_reducible(lowered.cfg.graph(), lowered.cfg.entry()) {
                 found = true;
                 break;
             }

@@ -9,7 +9,7 @@ echo "== build (release) =="
 cargo build --release
 
 echo "== clippy =="
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== test =="
 cargo test -q
@@ -24,6 +24,13 @@ PROPTEST_CASES=2000 cargo test -q --release -p pst-ssa --test proptest_phi
 PROPTEST_CASES=2000 cargo test -q --release -p pst-ssa --lib -- pst_phi::tests domtree::tests
 PROPTEST_CASES=2000 cargo test -q --release -p pst-core --lib collapse::tests
 PROPTEST_CASES=2000 cargo test -q --release -p pst-integration --test cross_validation
+
+echo "== test: the shared dominator kernel and reducibility witnesses vs their oracles, 2000 cases =="
+# The iterative dominator routine against Lengauer–Tarjan, with a
+# one-finger intersect that must fail that comparison, and the witness
+# set of reducibility against the Dfs back edges Lengauer–Tarjan refutes.
+PROPTEST_CASES=2000 cargo test -q --release -p pst-cfg --lib postorder::tests
+PROPTEST_CASES=2000 cargo test -q --release -p pst-cfg --test proptest_cfg reducibility_matches_dominator_criterion
 
 echo "== test: pstbench (the benchmark's own checks) =="
 # The benchmark is a workspace of its own; its self-tests prove that

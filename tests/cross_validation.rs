@@ -97,7 +97,7 @@ proptest! {
         };
         let f = generate_function("p", &config, seed);
         let l = pst_lang::lower_function(&f).unwrap();
-        prop_assert!(pst_cfg::is_reducible(l.cfg.graph(), l.cfg.entry(), None));
+        prop_assert!(pst_cfg::is_reducible(l.cfg.graph(), l.cfg.entry()));
         let pst = ProgramStructureTree::build(&l.cfg);
         let collapsed = collapse_all(&l.cfg, &pst);
         for r in pst.regions() {
@@ -106,7 +106,7 @@ proptest! {
                 continue;
             }
             prop_assert!(
-                pst_cfg::is_reducible(&mini.graph, mini.head, None),
+                pst_cfg::is_reducible(&mini.graph, mini.head),
                 "region {:?} of a reducible CFG is irreducible", r
             );
         }
