@@ -150,10 +150,8 @@ pub(crate) fn invariant_loop_guards(analysis: &Analysis<'_>, sink: &mut Sink<'_>
         }
         let mut changed = false;
         for comp in &members {
-            let is_loop = comp.len() >= 2
-                || comp
-                    .iter()
-                    .any(|&v| sub.successors(v).any(|s| s == v));
+            let is_loop =
+                comp.len() >= 2 || comp.iter().any(|&v| sub.successors(v).any(|s| s == v));
             if !is_loop {
                 continue;
             }
@@ -286,8 +284,7 @@ pub(crate) fn synthetic_termination_dependence(
             .iter()
             .position(|&m| m == Some(from))
             .is_some_and(|i| {
-                let mut succs: Vec<NodeId> =
-                    graph.successors(NodeId::from_index(i)).collect();
+                let mut succs: Vec<NodeId> = graph.successors(NodeId::from_index(i)).collect();
                 succs.sort_unstable();
                 succs.dedup();
                 succs.len() >= 2

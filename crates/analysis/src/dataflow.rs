@@ -161,7 +161,13 @@ fn dead_definitions(
         };
         for s in &info.stmts {
             for &u in &s.uses {
-                consume(u, &mut consumed, &local_stamp, &local_site, &mut exposed_stamp);
+                consume(
+                    u,
+                    &mut consumed,
+                    &local_stamp,
+                    &local_site,
+                    &mut exposed_stamp,
+                );
             }
             if let Some(d) = s.def {
                 local_stamp[d.index()] = stamp;
@@ -170,7 +176,13 @@ fn dead_definitions(
             }
         }
         for &u in &info.branch_uses {
-            consume(u, &mut consumed, &local_stamp, &local_site, &mut exposed_stamp);
+            consume(
+                u,
+                &mut consumed,
+                &local_stamp,
+                &local_site,
+                &mut exposed_stamp,
+            );
         }
     }
     debug_assert_eq!(cursor, sites.len());

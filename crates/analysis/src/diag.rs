@@ -479,6 +479,9 @@ mod tests {
             other => panic!("diagnostics not an array: {other:?}"),
         };
         assert_eq!(diags.len(), 1);
-        assert!(text.contains("\"line\":3") || text.contains("\"line\": 3"), "{text}");
+        assert!(
+            text.contains("\"line\":3") || text.contains("\"line\": 3"),
+            "{text}"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! The lint driver: runs every enabled, applicable rule over a function or
 //! a raw graph and collects the findings into a [`LintReport`].
 
-use pst_cfg::{canonicalize, Canonicalized, CanonicalizeError, CanonicalizeOptions, Graph, NodeId};
+use pst_cfg::{canonicalize, CanonicalizeError, CanonicalizeOptions, Canonicalized, Graph, NodeId};
 use pst_dataflow::{ReachingDefinitions, Solution};
 use pst_lang::{Function, LoweredFunction};
 

@@ -1,7 +1,7 @@
 //! Structural rules: irreducibility witnesses, multi-entry loops,
 //! unreachable/infinite regions, bureaucratic PST chains.
 
-use pst_cfg::{reducibility, Cfg, CanonicalizationReport, Repair, Sccs};
+use pst_cfg::{reducibility, CanonicalizationReport, Cfg, Repair, Sccs};
 use pst_lang::{Block, Function, Stmt};
 
 use crate::diag::Diagnostic;
@@ -14,7 +14,10 @@ pub(crate) fn irreducible_loops(cfg: &Cfg, sink: &mut Sink<'_>) {
         return;
     };
     let graph = cfg.graph();
-    pst_obs::counter!("lint_structural_work", (graph.node_count() + graph.edge_count()) as u64);
+    pst_obs::counter!(
+        "lint_structural_work",
+        (graph.node_count() + graph.edge_count()) as u64
+    );
     let witness = reducibility(graph, cfg.entry());
     for &e in witness.irreducible_edges() {
         let (s, t) = graph.endpoints(e);
@@ -38,7 +41,10 @@ pub(crate) fn multi_entry_loops(cfg: &Cfg, sink: &mut Sink<'_>) {
         return;
     };
     let graph = cfg.graph();
-    pst_obs::counter!("lint_structural_work", (graph.node_count() + graph.edge_count()) as u64);
+    pst_obs::counter!(
+        "lint_structural_work",
+        (graph.node_count() + graph.edge_count()) as u64
+    );
     let sccs = Sccs::new(graph);
     // Component sizes, to skip trivial (single-node, no-cycle) components.
     let mut size = vec![0usize; sccs.count()];

@@ -15,9 +15,7 @@ use pst_core::ProgramStructureTree;
 use pst_dataflow::{
     solve_iterative, QpgContext, ReachingDefinitions, SingleVariableReachingDefs, Solution,
 };
-use pst_lang::{
-    lower_program, parse_program, pretty_function, LoweredFunction, SrcPos, VarId,
-};
+use pst_lang::{lower_program, parse_program, pretty_function, LoweredFunction, SrcPos, VarId};
 use pst_workloads::{generate_function, ProgramGenConfig};
 
 /// What identifies one D-rule finding: rule, variable, position, nodes.
@@ -109,8 +107,7 @@ fn oracle(f: &LoweredFunction) -> Vec<Finding> {
                 let local = match next {
                     Some(next) => (k + 1..=next).any(reads_after),
                     None => {
-                        (k + 1..info.stmts.len()).any(reads_after)
-                            || info.branch_uses.contains(&v)
+                        (k + 1..info.stmts.len()).any(reads_after) || info.branch_uses.contains(&v)
                     }
                 };
                 // ...or, for the block's last one, reaching an exposed read.
@@ -192,7 +189,10 @@ fn a_solution_missing_one_definition_fails_the_comparison() {
             let report = lint_dataflow(&f, &rd, &broken, &config);
             changed && findings(&report.diagnostics) != expected
         });
-        assert!(dropped.is_some(), "seed {seed}: no dropped definition was noticed");
+        assert!(
+            dropped.is_some(),
+            "seed {seed}: no dropped definition was noticed"
+        );
     }
     // The programs exercise both rules, so the comparison is not vacuous.
     assert!(rules_seen.contains(&"PST-D001") && rules_seen.contains(&"PST-D002"));

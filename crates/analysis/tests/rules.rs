@@ -17,9 +17,14 @@ fn lint_src(src: &str) -> LintReport {
 
 fn lint_edges(description: &str) -> LintReport {
     let (graph, entry) = parse_edge_list_graph(description).expect("fixture parses");
-    lint_graph(&graph, entry, &CanonicalizeOptions::default(), &LintConfig::new())
-        .expect("fixture canonicalizes")
-        .report
+    lint_graph(
+        &graph,
+        entry,
+        &CanonicalizeOptions::default(),
+        &LintConfig::new(),
+    )
+    .expect("fixture canonicalizes")
+    .report
 }
 
 fn fired(report: &LintReport, rule: &str) -> bool {
@@ -350,7 +355,10 @@ fn d002_silent_when_every_definition_is_read() {
 #[test]
 fn d002_silent_on_unused_parameters() {
     // Parameters have no source position and are exempt by design.
-    assert!(!fired(&lint_src("fn f(n, unused) { return n; }"), "PST-D002"));
+    assert!(!fired(
+        &lint_src("fn f(n, unused) { return n; }"),
+        "PST-D002"
+    ));
 }
 
 // ------------------------------------------------------------ engine-level
@@ -397,7 +405,10 @@ fn mini_reports_run_the_mini_rule_set() {
         "PST-S001", "PST-S002", "PST-S003", "PST-S005", "PST-C001", "PST-C002", "PST-C101",
         "PST-D001", "PST-D002",
     ] {
-        assert!(report.rules_run.contains(&id), "{id} should run on mini input");
+        assert!(
+            report.rules_run.contains(&id),
+            "{id} should run on mini input"
+        );
     }
     assert!(
         !report.rules_run.contains(&"PST-S004"),
@@ -418,7 +429,10 @@ fn graph_reports_run_the_graph_rule_set() {
     for id in [
         "PST-S001", "PST-S002", "PST-S003", "PST-S004", "PST-C001", "PST-C102", "PST-C103",
     ] {
-        assert!(lint.report.rules_run.contains(&id), "{id} should run on graphs");
+        assert!(
+            lint.report.rules_run.contains(&id),
+            "{id} should run on graphs"
+        );
     }
     assert!(!lint.report.rules_run.contains(&"PST-D001"));
 }

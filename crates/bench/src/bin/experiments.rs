@@ -298,7 +298,9 @@ fn qpg(analyses: &[ProcAnalysis<'_>]) {
         for v in 0..l.var_count() {
             let var = VarId::from_index(v);
             let problem = SingleVariableReachingDefs::new(l, var);
-            let q = ctx.build_from_sites(problem.sites()).expect("PST matches its CFG");
+            let q = ctx
+                .build_from_sites(problem.sites())
+                .expect("PST matches its CFG");
             node_ratios.push(q.node_count() as f64 / l.cfg.node_count() as f64);
             stmt_ratios.push(q.node_count() as f64 / stmt_size as f64);
             let seg = Seg::build(&l.cfg, &problem).expect("forward problem");

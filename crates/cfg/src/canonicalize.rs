@@ -140,7 +140,10 @@ impl fmt::Display for Repair {
                 write!(f, "merged exit: routed sink {sink} into fresh exit {exit}")
             }
             Repair::VirtualLoopExit { from } => {
-                write!(f, "added virtual loop exit edge {from}->exit (infinite loop)")
+                write!(
+                    f,
+                    "added virtual loop exit edge {from}->exit (infinite loop)"
+                )
             }
             Repair::SplitSelfLoop { node, latch } => {
                 write!(f, "split self-loop on {node} through latch {latch}")
@@ -482,9 +485,11 @@ mod tests {
         assert_eq!(c.cfg.graph(), &g);
         assert_eq!(c.cfg.entry(), n[0]);
         assert_eq!(c.cfg.exit(), n[3]);
-        assert!(c.node_map.iter().enumerate().all(|(i, m)| m
-            .map(|x| x.index() == i)
-            .unwrap_or(false)));
+        assert!(c
+            .node_map
+            .iter()
+            .enumerate()
+            .all(|(i, m)| m.map(|x| x.index() == i).unwrap_or(false)));
     }
 
     #[test]
@@ -635,7 +640,7 @@ mod tests {
         g.add_edge(n[3], n[4]); // unreachable
         g.add_edge(n[1], n[1]); // self-loop
         g.add_edge(n[2], n[0]); // entry predecessor
-        // n[5] isolated
+                                // n[5] isolated
         let c = canon(&g, n[0]);
         let again = canon(c.cfg.graph(), c.cfg.entry());
         assert!(again.report.is_identity());
@@ -645,8 +650,8 @@ mod tests {
     #[test]
     fn empty_and_unknown_entry_are_errors() {
         let g = Graph::new();
-        let err = canonicalize(&g, NodeId::from_index(0), &CanonicalizeOptions::default())
-            .unwrap_err();
+        let err =
+            canonicalize(&g, NodeId::from_index(0), &CanonicalizeOptions::default()).unwrap_err();
         assert_eq!(err, CanonicalizeError::Empty);
         let mut g = Graph::new();
         g.add_node();

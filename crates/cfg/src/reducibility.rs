@@ -286,10 +286,7 @@ mod tests {
             // A reducible loop nested inside an irreducible one: only the
             // irreducible retreating edge witnesses, not the natural
             // backedge 3->2.
-            (
-                "0->1 0->2 1->2 2->3 3->2 3->1 1->4 3->4",
-                &[(3, 1)],
-            ),
+            ("0->1 0->2 1->2 2->3 3->2 3->1 1->4 3->4", &[(3, 1)]),
         ];
         for (desc, expected) in table {
             let cfg = parse_edge_list(desc).unwrap();

@@ -51,8 +51,8 @@ impl FuzzOptions {
             ),
             None => None,
         };
-        let out_dir = take_value_flag(args, "--out-dir")?
-            .unwrap_or_else(|| "fuzz-failures".to_string());
+        let out_dir =
+            take_value_flag(args, "--out-dir")?.unwrap_or_else(|| "fuzz-failures".to_string());
         let inject_fault = take_value_flag(args, "--inject-fault")?;
         if let Some(stray) = args.first() {
             return Err(format!("unexpected fuzz argument `{stray}`"));
@@ -88,7 +88,9 @@ type InjectSpec = Option<std::convert::Infallible>;
 
 /// What one fuzz input did, with the panic already contained.
 enum Outcome {
-    Clean { exhausted: bool },
+    Clean {
+        exhausted: bool,
+    },
     /// Canonicalization rejected the raw digraph with a proper error.
     Rejected,
     Violation(String),
@@ -305,8 +307,7 @@ pub fn fuzz_command(opts: &FuzzOptions) -> Result<(), Failure> {
     let inject: InjectSpec = match &opts.inject_fault {
         Some(_) => {
             return Err(Failure::Usage(
-                "--inject-fault requires a binary built with `--features fault-inject`"
-                    .to_string(),
+                "--inject-fault requires a binary built with `--features fault-inject`".to_string(),
             ))
         }
         None => None,
@@ -386,7 +387,11 @@ pub fn fuzz_command(opts: &FuzzOptions) -> Result<(), Failure> {
          {exhausted} oracle-budget-exhausted, {violations} violations, {panics} contained panics",
         opts.seed_start,
         opts.seed_end,
-        if out_of_budget { ", stopped on --budget-ms" } else { "" },
+        if out_of_budget {
+            ", stopped on --budget-ms"
+        } else {
+            ""
+        },
     );
     if let Some(message) = first_panic {
         return Err(Failure::ContainedPanic(format!(

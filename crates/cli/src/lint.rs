@@ -10,7 +10,9 @@
 //! `--explain <rule>` prints a rule's documentation card (summary,
 //! severity, example, fix hint) and exits without reading any input.
 
-use pst_analysis::{find_rule, dot_with_findings, lint_function, lint_graph, LintConfig, LintReport};
+use pst_analysis::{
+    dot_with_findings, find_rule, lint_function, lint_graph, LintConfig, LintReport,
+};
 use pst_cfg::{parse_edge_list_graph, CanonicalizeOptions};
 use pst_lang::{lower_program, parse_program};
 
@@ -126,8 +128,8 @@ pub fn lint_command(opts: &LintOptions) -> Result<(), Failure> {
             .then(|| dot_with_findings(lint.canonical.cfg.graph(), &lint.report));
         units.push((unit_name, lint.report, dot));
     } else {
-        let program = parse_program(&source)
-            .map_err(|e| Failure::Analysis(format!("parse error: {e}")))?;
+        let program =
+            parse_program(&source).map_err(|e| Failure::Analysis(format!("parse error: {e}")))?;
         let lowered = lower_program(&program)
             .map_err(|e| Failure::Analysis(format!("lowering error: {e}")))?;
         for (f, ast) in lowered.iter().zip(&program.functions) {

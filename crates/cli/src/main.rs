@@ -145,7 +145,11 @@ fn main() -> ExitCode {
     };
     pst_obs::journal::emit(pst_obs::journal::Event::RunStart {
         command: command.clone(),
-        args: if canonicalize_mode { args.clone() } else { args.iter().skip(1).cloned().collect() },
+        args: if canonicalize_mode {
+            args.clone()
+        } else {
+            args.iter().skip(1).cloned().collect()
+        },
     });
     // Subcommands with flags of their own parse the rest of the line;
     // everything else is the `(command, path)` form.
@@ -237,12 +241,20 @@ fn dispatch(
     let (command, path) = if canonicalize_mode {
         match (args.first(), args.get(1)) {
             (Some(p), None) => ("--canonicalize", p.as_str()),
-            _ => return Err(Failure::Usage("expected exactly one input path".to_string())),
+            _ => {
+                return Err(Failure::Usage(
+                    "expected exactly one input path".to_string(),
+                ))
+            }
         }
     } else {
         match (args.first(), args.get(1)) {
             (Some(c), Some(p)) => (c.as_str(), p.as_str()),
-            _ => return Err(Failure::Usage("expected a command and an input path".to_string())),
+            _ => {
+                return Err(Failure::Usage(
+                    "expected a command and an input path".to_string(),
+                ))
+            }
         }
     };
     let source = read_source(path).map_err(Failure::Usage)?;
@@ -600,7 +612,12 @@ fn loops(f: &LoweredFunction) {
             Some(p) => format!(" (inside loop {p})"),
             None => String::new(),
         };
-        println!("  loop {i}: header {}{} body {{{}}}", l.header, parent, body.join(", "));
+        println!(
+            "  loop {i}: header {}{} body {{{}}}",
+            l.header,
+            parent,
+            body.join(", ")
+        );
     }
 }
 
@@ -610,7 +627,11 @@ fn intervals(f: &LoweredFunction) {
         "fn {}: derived sequence {:?} -> {}",
         f.name,
         seq.interval_counts,
-        if seq.reducible { "reducible" } else { "IRREDUCIBLE" }
+        if seq.reducible {
+            "reducible"
+        } else {
+            "IRREDUCIBLE"
+        }
     );
 }
 

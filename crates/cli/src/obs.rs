@@ -163,11 +163,14 @@ impl Fleet {
             // A journaled unit summary mirrors one entry of the run's
             // `Report::units`, so fold it in as a bare sub-report.
             if let pst_obs::journal::Event::UnitSummary { unit, nanos, count } = &record.event {
-                self.units.entry(unit.clone()).or_default().merge_from(&UnitReport {
-                    count: *count,
-                    nanos: *nanos,
-                    ..UnitReport::default()
-                });
+                self.units
+                    .entry(unit.clone())
+                    .or_default()
+                    .merge_from(&UnitReport {
+                        count: *count,
+                        nanos: *nanos,
+                        ..UnitReport::default()
+                    });
             }
             self.records.push(record);
         }
@@ -184,7 +187,10 @@ impl Fleet {
         if let Some(Json::Obj(hists)) = json.get("histograms") {
             for (name, h) in hists {
                 let h = Histogram::from_json(h).ok_or_else(|| malformed("histograms"))?;
-                self.histograms.entry(name.clone()).or_default().merge_from(&h);
+                self.histograms
+                    .entry(name.clone())
+                    .or_default()
+                    .merge_from(&h);
             }
         }
         if let Some(Json::Obj(units)) = json.get("units") {
@@ -228,7 +234,11 @@ impl Fleet {
     fn render_text(&self, opts: &ObsOptions) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let journals = self.files.iter().filter(|(_, k)| *k == InputKind::Journal).count();
+        let journals = self
+            .files
+            .iter()
+            .filter(|(_, k)| *k == InputKind::Journal)
+            .count();
         let _ = writeln!(
             out,
             "fleet: {} file(s) ({journals} journal(s)), {} trace(s)",
@@ -268,7 +278,11 @@ impl Fleet {
             }
         }
         if !self.units.is_empty() {
-            let _ = writeln!(out, "top {} unit(s) by total time:", opts.top.min(self.units.len()));
+            let _ = writeln!(
+                out,
+                "top {} unit(s) by total time:",
+                opts.top.min(self.units.len())
+            );
             for (i, (name, u)) in self.top_units(opts.top).iter().enumerate() {
                 let _ = writeln!(
                     out,
@@ -383,14 +397,53 @@ mod tests {
     fn two_journals_merge_units_and_traces() {
         use pst_obs::journal::Event;
         let a = [
-            journal_line(0, "aaaa", Event::RunStart { command: "regions".into(), args: vec![] }),
-            journal_line(1, "aaaa", Event::UnitSummary { unit: "f".into(), nanos: 100, count: 1 }),
-            journal_line(2, "aaaa", Event::RunEnd { command: "regions".into(), exit_code: 0, nanos: 200 }),
+            journal_line(
+                0,
+                "aaaa",
+                Event::RunStart {
+                    command: "regions".into(),
+                    args: vec![],
+                },
+            ),
+            journal_line(
+                1,
+                "aaaa",
+                Event::UnitSummary {
+                    unit: "f".into(),
+                    nanos: 100,
+                    count: 1,
+                },
+            ),
+            journal_line(
+                2,
+                "aaaa",
+                Event::RunEnd {
+                    command: "regions".into(),
+                    exit_code: 0,
+                    nanos: 200,
+                },
+            ),
         ]
         .join("\n");
         let b = [
-            journal_line(0, "bbbb", Event::UnitSummary { unit: "f".into(), nanos: 50, count: 2 }),
-            journal_line(1, "bbbb", Event::UnitSummary { unit: "g".into(), nanos: 500, count: 1 }),
+            journal_line(
+                0,
+                "bbbb",
+                Event::UnitSummary {
+                    unit: "f".into(),
+                    nanos: 50,
+                    count: 2,
+                },
+            ),
+            journal_line(
+                1,
+                "bbbb",
+                Event::UnitSummary {
+                    unit: "g".into(),
+                    nanos: 500,
+                    count: 1,
+                },
+            ),
         ]
         .join("\n");
         let mut fleet = Fleet::default();
@@ -400,26 +453,44 @@ mod tests {
         assert_eq!(fleet.records.len(), 5);
         let ranked = fleet.top_units(10);
         assert_eq!(ranked[0].0, "g");
-        assert_eq!((ranked[1].0.as_str(), ranked[1].1.nanos, ranked[1].1.count), ("f", 150, 3));
+        assert_eq!(
+            (ranked[1].0.as_str(), ranked[1].1.nanos, ranked[1].1.count),
+            ("f", 150, 3)
+        );
     }
 
     #[test]
     fn level_and_type_filters_select_events() {
         use pst_obs::journal::Event;
         let text = [
-            journal_line(0, "t", Event::RunStart { command: "lint".into(), args: vec![] }),
-            journal_line(1, "t", Event::LintFinding {
-                unit: "u".into(),
-                rule: "PST-S001".into(),
-                severity: "warning".into(),
-                message: "m".into(),
-            }),
-            journal_line(2, "t", Event::FuzzCrash {
-                seed: 7,
-                kind: "panic".into(),
-                detail: "boom".into(),
-                reproducer: None,
-            }),
+            journal_line(
+                0,
+                "t",
+                Event::RunStart {
+                    command: "lint".into(),
+                    args: vec![],
+                },
+            ),
+            journal_line(
+                1,
+                "t",
+                Event::LintFinding {
+                    unit: "u".into(),
+                    rule: "PST-S001".into(),
+                    severity: "warning".into(),
+                    message: "m".into(),
+                },
+            ),
+            journal_line(
+                2,
+                "t",
+                Event::FuzzCrash {
+                    seed: 7,
+                    kind: "panic".into(),
+                    detail: "boom".into(),
+                    reproducer: None,
+                },
+            ),
         ]
         .join("\n");
         let mut fleet = Fleet::default();
@@ -450,7 +521,12 @@ mod tests {
                 "units",
                 Json::obj([(
                     "f",
-                    UnitReport { count: 1, nanos: 42, ..UnitReport::default() }.to_json(),
+                    UnitReport {
+                        count: 1,
+                        nanos: 42,
+                        ..UnitReport::default()
+                    }
+                    .to_json(),
                 )]),
             ),
         ])

@@ -81,10 +81,7 @@ pub fn top_command(opts: &TopOptions) -> Result<(), Failure> {
         let (metrics, stats) = poll(&opts.addr)?;
         match opts.format {
             TopFormat::Json => {
-                println!(
-                    "{}",
-                    Json::obj([("metrics", metrics), ("stats", stats)])
-                );
+                println!("{}", Json::obj([("metrics", metrics), ("stats", stats)]));
             }
             TopFormat::Text => {
                 if !opts.once {

@@ -211,7 +211,10 @@ fn lint_json_is_parseable_and_stable() {
 #[test]
 fn lint_allow_silences_and_deny_escalates() {
     let defective = "fn f(n) { x = 1; x = 2; return x; }";
-    let (out, _, code) = run(&["lint", "-", "--allow", "dead-definition"], Some(defective));
+    let (out, _, code) = run(
+        &["lint", "-", "--allow", "dead-definition"],
+        Some(defective),
+    );
     assert_eq!(code, 0, "{out}");
 
     let (out, _, code) = run(&["lint", "-", "--deny", "PST-D002"], Some(defective));
@@ -313,7 +316,14 @@ fn journal_records_run_lifecycle_and_unit_summaries() {
     std::fs::write(dir.join("two.mini"), TWO_FNS).expect("write program");
     let (_, err, code) = run_env(
         &dir,
-        &["regions", "two.mini", "--journal", "j.jsonl", "--metrics-json", "m.json"],
+        &[
+            "regions",
+            "two.mini",
+            "--journal",
+            "j.jsonl",
+            "--metrics-json",
+            "m.json",
+        ],
         &[("PST_TRACE_SEED", "7")],
     );
     assert_eq!(code, 0, "{err}");
@@ -734,10 +744,7 @@ fn serve_rejects_oversized_requests_but_keeps_serving() {
 fn serve_registered_units_answer_by_id() {
     // Register via a source request, then re-query by the returned unit
     // id with a different method: no source re-send, still a unit hit.
-    let (replies, code) = serve(
-        &[],
-        &format!("{}\n", source_request(1, "pst")),
-    );
+    let (replies, code) = serve(&[], &format!("{}\n", source_request(1, "pst")));
     assert_eq!(code, 0);
     let unit = match replies[0].get("unit") {
         Some(pst_obs::json::Json::Str(s)) => s.clone(),
@@ -783,7 +790,9 @@ fn serve_journals_one_unit_summary_per_request() {
     // One summary per request — not a run-end mirror of the unit
     // registry, which would double-count the repeated unit.
     assert_eq!(units.len(), 2, "{units:?}");
-    assert!(units.iter().all(|(u, c)| u.starts_with("serve:") && *c == 1));
+    assert!(units
+        .iter()
+        .all(|(u, c)| u.starts_with("serve:") && *c == 1));
     assert_eq!(units[0].0, units[1].0, "same unit+method, same scope name");
 }
 
@@ -1094,8 +1103,7 @@ fn serve_tcp_survives_abrupt_disconnects() {
 #[cfg(feature = "fault-inject")]
 #[test]
 fn serve_tcp_overload_shed_carries_retry_hint_and_retry_succeeds() {
-    let (mut daemon, addr) =
-        ServeDaemon::spawn(&["--workers", "2", "--max-inflight", "1"]);
+    let (mut daemon, addr) = ServeDaemon::spawn(&["--workers", "2", "--max-inflight", "1"]);
 
     // Client A pipelines slow requests, holding the single admission
     // slot for ~50ms apiece; client B keeps knocking until it is shed.
@@ -1157,8 +1165,7 @@ fn serve_tcp_drain_finishes_in_flight_requests_then_exits() {
 #[cfg(feature = "fault-inject")]
 #[test]
 fn serve_tcp_chaos_panics_are_envelopes_and_the_daemon_outlives_them() {
-    let (mut daemon, addr) =
-        ServeDaemon::spawn(&["--workers", "2", "--inject-fault", "panic"]);
+    let (mut daemon, addr) = ServeDaemon::spawn(&["--workers", "2", "--inject-fault", "panic"]);
     let mut conn = Conn::open(&addr);
     let (mut oks, mut panics) = (0, 0);
     for i in 0..12u64 {
@@ -1170,7 +1177,10 @@ fn serve_tcp_chaos_panics_are_envelopes_and_the_daemon_outlives_them() {
             panics += 1;
         }
     }
-    assert!(oks > 0 && panics > 0, "chaos mixes clean and faulty replies");
+    assert!(
+        oks > 0 && panics > 0,
+        "chaos mixes clean and faulty replies"
+    );
     let stats = conn.request(r#"{"id":90,"method":"stats"}"#);
     assert!(reply_ok(&stats), "{stats}");
     let result = stats.get("result").expect("stats result");
@@ -1228,11 +1238,23 @@ fn serve_metrics_rpc_reports_windowed_series_in_json_and_text() {
         Some(Json::Str(s)) => s.clone(),
         other => panic!("no text body: {other:?}"),
     };
-    assert!(body.contains("# TYPE pst_serve_requests_total counter"), "{body}");
-    assert!(body.contains("pst_serve_requests_total{method=\"pst\"} 2"), "{body}");
-    assert!(body.contains("# TYPE pst_serve_latency_nanos summary"), "{body}");
+    assert!(
+        body.contains("# TYPE pst_serve_requests_total counter"),
+        "{body}"
+    );
+    assert!(
+        body.contains("pst_serve_requests_total{method=\"pst\"} 2"),
+        "{body}"
+    );
+    assert!(
+        body.contains("# TYPE pst_serve_latency_nanos summary"),
+        "{body}"
+    );
     assert!(body.contains("quantile=\"0.99\""), "{body}");
-    assert!(body.contains("pst_serve_shard_requests_total{shard=\"0\"}"), "{body}");
+    assert!(
+        body.contains("pst_serve_shard_requests_total{shard=\"0\"}"),
+        "{body}"
+    );
 
     // The slowlog ring captures the slowest requests even without a
     // `--slowlog-ms` threshold (the threshold only gates journaling).
@@ -1257,7 +1279,9 @@ fn scrape(addr: &str) -> String {
         .write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
         .expect("scrape request");
     let mut response = String::new();
-    stream.read_to_string(&mut response).expect("scrape response");
+    stream
+        .read_to_string(&mut response)
+        .expect("scrape response");
     response
 }
 
@@ -1273,10 +1297,19 @@ fn serve_tcp_metrics_listener_answers_scrapes_and_pst_top_snapshots() {
     // First scrape: proper HTTP framing and typed families.
     let first = scrape(&metrics_addr);
     assert!(first.starts_with("HTTP/1.0 200 OK"), "{first}");
-    assert!(first.contains("Content-Type: text/plain; version=0.0.4"), "{first}");
+    assert!(
+        first.contains("Content-Type: text/plain; version=0.0.4"),
+        "{first}"
+    );
     let body = first.split("\r\n\r\n").nth(1).expect("scrape body");
-    assert!(body.contains("# TYPE pst_serve_requests_total counter"), "{body}");
-    assert!(body.contains("pst_serve_requests_total{method=\"pst\"} 4"), "{body}");
+    assert!(
+        body.contains("# TYPE pst_serve_requests_total counter"),
+        "{body}"
+    );
+    assert!(
+        body.contains("pst_serve_requests_total{method=\"pst\"} 4"),
+        "{body}"
+    );
     assert!(body.contains("# TYPE pst_serve_in_flight gauge"), "{body}");
 
     // Counters are monotone across scrapes: more traffic, bigger totals.
@@ -1289,7 +1322,10 @@ fn serve_tcp_metrics_listener_answers_scrapes_and_pst_top_snapshots() {
     );
 
     // `pst top --once --format json` pairs the metrics and stats views.
-    let (out, err, code) = run(&["top", "--addr", &addr, "--once", "--format", "json"], None);
+    let (out, err, code) = run(
+        &["top", "--addr", &addr, "--once", "--format", "json"],
+        None,
+    );
     assert_eq!(code, 0, "pst top failed: {err}");
     let snapshot = pst_obs::json::Json::parse(out.trim()).expect("top JSON");
     let total = snapshot
@@ -1299,7 +1335,13 @@ fn serve_tcp_metrics_listener_answers_scrapes_and_pst_top_snapshots() {
         .and_then(|p| p.get("requests_total"))
         .and_then(|v| v.as_u64());
     assert_eq!(total, Some(5), "{snapshot}");
-    assert!(snapshot.get("stats").and_then(|s| s.get("workers")).is_some(), "{snapshot}");
+    assert!(
+        snapshot
+            .get("stats")
+            .and_then(|s| s.get("workers"))
+            .is_some(),
+        "{snapshot}"
+    );
 
     // The human table renders a header and the active method row.
     let (out, err, code) = run(&["top", "--addr", &addr, "--once"], None);
@@ -1342,7 +1384,10 @@ fn serve_slowlog_attributes_injected_stalls_and_journals_slow_requests() {
     assert_eq!(top.get("method"), Some(&Json::Str("pst".into())));
     let phases = top.get("phases").expect("phases");
     let inject = phases.get("inject_nanos").unwrap().as_u64().unwrap();
-    assert!(inject >= 40_000_000, "stall not attributed to inject: {phases}");
+    assert!(
+        inject >= 40_000_000,
+        "stall not attributed to inject: {phases}"
+    );
     assert!(
         top.get("total_nanos").unwrap().as_u64().unwrap() >= inject,
         "{top}"
@@ -1357,7 +1402,11 @@ fn serve_slowlog_attributes_injected_stalls_and_journals_slow_requests() {
     assert_eq!(slow.len(), 1, "{slow:?}");
     assert_eq!(slow[0].level, pst_obs::journal::Level::Warn);
     match &slow[0].event {
-        pst_obs::journal::Event::SlowRequest { method, total_nanos, .. } => {
+        pst_obs::journal::Event::SlowRequest {
+            method,
+            total_nanos,
+            ..
+        } => {
             assert_eq!(method, "pst");
             assert!(*total_nanos >= 10_000_000);
         }
@@ -1445,9 +1494,10 @@ fn span_entries(path: &std::path::Path, name: &str) -> u64 {
             .iter()
             .map(|s| {
                 let own = match s.get("name") {
-                    Some(pst_obs::json::Json::Str(n)) if n == name => {
-                        s.get("count").and_then(pst_obs::json::Json::as_u64).unwrap_or(0)
-                    }
+                    Some(pst_obs::json::Json::Str(n)) if n == name => s
+                        .get("count")
+                        .and_then(pst_obs::json::Json::as_u64)
+                        .unwrap_or(0),
                     _ => 0,
                 };
                 own + s.get("children").map_or(0, |c| walk(c, name))
@@ -1493,7 +1543,8 @@ fn a_serve_unit_computes_each_shared_stage_once() {
         "control regions computed more than once"
     );
 
-    let edges = "{\"id\":1,\"method\":\"control_regions\",\"edges\":\"0->1\\n0->2\\n1->2\\n2->1\\n\"}\n\
+    let edges =
+        "{\"id\":1,\"method\":\"control_regions\",\"edges\":\"0->1\\n0->2\\n1->2\\n2->1\\n\"}\n\
                  {\"id\":2,\"method\":\"lint\",\"edges\":\"0->1\\n0->2\\n1->2\\n2->1\\n\"}\n\
                  {\"id\":3,\"method\":\"shutdown\"}\n";
     let metrics = dir.join("edges.json");
@@ -1527,7 +1578,11 @@ fn paranoid_ssa_checks_the_stages_it_printed() {
     );
     assert_eq!(code, 0, "{err}");
     assert!(out.contains("φ-functions"), "{out}");
-    assert_eq!(span_entries(&metrics, "pst"), 1, "--paranoid rebuilt the PST");
+    assert_eq!(
+        span_entries(&metrics, "pst"),
+        1,
+        "--paranoid rebuilt the PST"
+    );
     assert_eq!(
         span_entries(&metrics, "phi_pst"),
         1,

@@ -45,7 +45,11 @@ fn run(args: &[&str], stdin: Option<&str>) -> String {
         .current_dir(workspace_root())
         .env_remove("PST_METRICS")
         .env_remove("PST_JOURNAL")
-        .stdin(if stdin.is_some() { Stdio::piped() } else { Stdio::null() })
+        .stdin(if stdin.is_some() {
+            Stdio::piped()
+        } else {
+            Stdio::null()
+        })
         .stdout(Stdio::piped())
         .stderr(Stdio::piped());
     let mut child = cmd.spawn().expect("binary runs");

@@ -18,7 +18,9 @@ use pst_controldep::{Dod, StrongControlDeps};
 
 /// Deterministic LCG so the DAG generator needs no rand dependency.
 fn next(state: &mut u64) -> u64 {
-    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
     *state >> 33
 }
 

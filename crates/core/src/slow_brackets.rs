@@ -28,7 +28,10 @@ use crate::{CycleEquiv, CycleEquivError};
 /// Returns a [`CycleEquivError`] when the graph is empty, the root is not
 /// a node, or the graph is not undirected-connected — the same contract as
 /// [`CycleEquiv::compute`].
-pub fn cycle_equiv_slow_brackets(graph: &Graph, root: NodeId) -> Result<CycleEquiv, CycleEquivError> {
+pub fn cycle_equiv_slow_brackets(
+    graph: &Graph,
+    root: NodeId,
+) -> Result<CycleEquiv, CycleEquivError> {
     if graph.is_empty() {
         return Err(CycleEquivError::EmptyGraph);
     }

@@ -50,9 +50,7 @@ impl PstStats {
     pub fn of(pst: &ProgramStructureTree) -> Self {
         let mut interior = vec![0usize; pst.region_count()];
         for i in 0..pst.node_count() {
-            interior[pst
-                .region_of_node(pst_cfg::NodeId::from_index(i))
-                .index()] += 1;
+            interior[pst.region_of_node(pst_cfg::NodeId::from_index(i)).index()] += 1;
         }
         let mut depth_histogram = Vec::new();
         let mut max_depth = 0;

@@ -245,7 +245,9 @@ mod tests {
         let lv = crate::LiveVariables::new(&l);
         assert_eq!(
             solve_elimination(&l.cfg, &pst, &collapsed, &lv),
-            Err(crate::SolverError::BackwardUnsupported("elimination solver")),
+            Err(crate::SolverError::BackwardUnsupported(
+                "elimination solver"
+            )),
         );
     }
 }

@@ -292,10 +292,7 @@ fn derive(level: &Level, confluence: Confluence, universe: usize) -> Level {
 /// let rd = ReachingDefinitions::new(&l);
 /// assert_eq!(solve_intervals(&l.cfg, &rd).unwrap(), solve_iterative(&l.cfg, &rd));
 /// ```
-pub fn solve_intervals(
-    cfg: &Cfg,
-    problem: &impl DataflowProblem,
-) -> Result<Solution, SolverError> {
+pub fn solve_intervals(cfg: &Cfg, problem: &impl DataflowProblem) -> Result<Solution, SolverError> {
     if problem.flow() != Flow::Forward {
         return Err(SolverError::BackwardUnsupported("interval elimination"));
     }
@@ -451,7 +448,9 @@ mod tests {
         let lv = crate::LiveVariables::new(&l);
         assert_eq!(
             solve_intervals(&l.cfg, &lv),
-            Err(crate::SolverError::BackwardUnsupported("interval elimination"))
+            Err(crate::SolverError::BackwardUnsupported(
+                "interval elimination"
+            ))
         );
     }
 }

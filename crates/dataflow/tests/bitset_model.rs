@@ -51,7 +51,11 @@ fn assert_matches(set: &BitSet, model: &[bool]) {
     assert_eq!(set.count(), expect.len());
     assert_eq!(set.is_empty(), expect.is_empty());
     for i in 0..model.len() + 2 {
-        assert_eq!(set.contains(i), model.get(i).copied().unwrap_or(false), "bit {i}");
+        assert_eq!(
+            set.contains(i),
+            model.get(i).copied().unwrap_or(false),
+            "bit {i}"
+        );
     }
 }
 

@@ -60,10 +60,8 @@ fn stmt(depth: u32, in_loop: bool) -> BoxedStrategy<Stmt> {
     if depth == 0 {
         return assign();
     }
-    let block = |in_loop| {
-        proptest::collection::vec(stmt(depth - 1, in_loop), 0..4)
-            .prop_map(Block::new)
-    };
+    let block =
+        |in_loop| proptest::collection::vec(stmt(depth - 1, in_loop), 0..4).prop_map(Block::new);
     let mut options: Vec<BoxedStrategy<Stmt>> = vec![
         assign(),
         (expr()).prop_map(Stmt::Expr).boxed(),

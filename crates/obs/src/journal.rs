@@ -569,7 +569,10 @@ mod tests {
         uninstall();
         assert_eq!((first, second), (Some(0), Some(1)));
         let text = std::fs::read_to_string(&path).unwrap();
-        let records: Vec<Record> = text.lines().map(|l| Record::parse_line(l).unwrap()).collect();
+        let records: Vec<Record> = text
+            .lines()
+            .map(|l| Record::parse_line(l).unwrap())
+            .collect();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].seq, 0);
         assert_eq!(records[0].event.type_str(), "run_start");

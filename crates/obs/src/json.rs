@@ -54,7 +54,9 @@ impl Json {
                 if matches!(self.get(key), Some(Json::Str(s)) if s == value) {
                     return Some(self);
                 }
-                fields.iter().find_map(|(_, v)| v.find_object_with(key, value))
+                fields
+                    .iter()
+                    .find_map(|(_, v)| v.find_object_with(key, value))
             }
             Json::Arr(items) => items.iter().find_map(|v| v.find_object_with(key, value)),
             _ => None,
@@ -442,8 +444,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number spans are ASCII");
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number spans are ASCII");
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));

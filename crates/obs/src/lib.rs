@@ -63,8 +63,8 @@ pub mod window;
 use std::collections::BTreeMap;
 
 pub use hist::Histogram;
-pub use window::{RollingCounter, WindowedHistogram};
 use json::Json;
+pub use window::{RollingCounter, WindowedHistogram};
 
 /// Whether observability was compiled in (`enabled` feature).
 #[inline(always)]
@@ -156,7 +156,10 @@ impl Span {
 
 /// RAII guard for an open [`Span`]; records on drop.
 #[must_use = "a span guard records its phase when dropped"]
-pub struct SpanGuard(#[cfg(feature = "enabled")] Option<imp::OpenSpan>, #[cfg(not(feature = "enabled"))] ());
+pub struct SpanGuard(
+    #[cfg(feature = "enabled")] Option<imp::OpenSpan>,
+    #[cfg(not(feature = "enabled"))] (),
+);
 
 impl Drop for SpanGuard {
     #[inline(always)]
@@ -374,7 +377,9 @@ impl UnitReport {
             return None;
         };
         for (k, v) in hists {
-            report.histograms.insert(k.clone(), Histogram::from_json(v)?);
+            report
+                .histograms
+                .insert(k.clone(), Histogram::from_json(v)?);
         }
         Some(report)
     }
@@ -599,7 +604,9 @@ mod imp {
     /// thread's fold (the registry holds plain counters whose invariants
     /// cannot be torn by an unwind).
     fn lock_global() -> MutexGuard<'static, Report> {
-        GLOBAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+        GLOBAL
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Tree arena: node 0 is the synthetic root.
@@ -957,7 +964,9 @@ mod tests {
         // Same poison-recovery idiom as every lock in this workspace
         // (see docs/SERVING.md § locking): a panicked holder must not
         // wedge later acquisitions.
-        TEST_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+        TEST_LOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     #[test]

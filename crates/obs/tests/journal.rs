@@ -12,8 +12,22 @@ use pst_obs::json::Json;
 fn string_strategy() -> impl Strategy<Value = String> {
     vec(
         proptest::sample::select(vec![
-            "a", "B", "0", "_", "-", " ", "\"", "\\", "\n", "\t", "/", "µ", "⊕", "seed:",
-            "examples/fig1.mini#f", "PST-S001",
+            "a",
+            "B",
+            "0",
+            "_",
+            "-",
+            " ",
+            "\"",
+            "\\",
+            "\n",
+            "\t",
+            "/",
+            "µ",
+            "⊕",
+            "seed:",
+            "examples/fig1.mini#f",
+            "PST-S001",
         ]),
         0..8,
     )
@@ -35,9 +49,8 @@ fn event_strategy() -> impl Strategy<Value = Event> {
                 nanos,
             }
         }),
-        (s(), 0u64..u64::MAX, 0u64..1_000_000).prop_map(|(unit, nanos, count)| {
-            Event::UnitSummary { unit, nanos, count }
-        }),
+        (s(), 0u64..u64::MAX, 0u64..1_000_000)
+            .prop_map(|(unit, nanos, count)| { Event::UnitSummary { unit, nanos, count } }),
         (s(), s(), s(), s()).prop_map(|(unit, rule, severity, message)| Event::LintFinding {
             unit,
             rule,
@@ -52,14 +65,20 @@ fn event_strategy() -> impl Strategy<Value = Event> {
                 reproducer,
             }
         ),
-        (s(), proptest::option::of(s()), 0u64..u64::MAX, 0u64..u64::MAX).prop_map(
-            |(method, unit, total_nanos, compute_nanos)| Event::SlowRequest {
-                method,
-                unit,
-                total_nanos,
-                compute_nanos,
-            }
-        ),
+        (
+            s(),
+            proptest::option::of(s()),
+            0u64..u64::MAX,
+            0u64..u64::MAX
+        )
+            .prop_map(
+                |(method, unit, total_nanos, compute_nanos)| Event::SlowRequest {
+                    method,
+                    unit,
+                    total_nanos,
+                    compute_nanos,
+                }
+            ),
     ]
 }
 
@@ -105,5 +124,7 @@ fn unknown_type_tags_and_missing_fields_are_rejected() {
     let line = good.to_json().to_string();
     assert!(Record::parse_line(&line).is_some());
     assert!(Record::parse_line(&line.replace("unit_summary", "mystery_event")).is_none());
-    assert!(Record::parse_line(&line.replace("\"level\":\"info\"", "\"level\":\"loud\"")).is_none());
+    assert!(
+        Record::parse_line(&line.replace("\"level\":\"info\"", "\"level\":\"loud\"")).is_none()
+    );
 }

@@ -269,9 +269,7 @@ impl LiveMetrics {
                                 ("method", Json::Str(o.method.to_string())),
                                 (
                                     "unit",
-                                    o.unit
-                                        .as_ref()
-                                        .map_or(Json::Null, |u| Json::Str(u.clone())),
+                                    o.unit.as_ref().map_or(Json::Null, |u| Json::Str(u.clone())),
                                 ),
                                 ("ok", Json::Bool(o.ok)),
                                 ("cached", Json::Bool(o.cached)),
@@ -306,17 +304,35 @@ impl LiveMetrics {
         family(&mut out, "pst_serve_requests_total", "counter");
         for (name, series) in &mut self.methods {
             series.requests.advance(tick);
-            sample(&mut out, "pst_serve_requests_total", name, None, series.requests.total());
+            sample(
+                &mut out,
+                "pst_serve_requests_total",
+                name,
+                None,
+                series.requests.total(),
+            );
         }
         family(&mut out, "pst_serve_errors_total", "counter");
         for (name, series) in &mut self.methods {
             series.errors.advance(tick);
-            sample(&mut out, "pst_serve_errors_total", name, None, series.errors.total());
+            sample(
+                &mut out,
+                "pst_serve_errors_total",
+                name,
+                None,
+                series.errors.total(),
+            );
         }
         family(&mut out, "pst_serve_cache_hits_total", "counter");
         for (name, series) in &mut self.methods {
             series.cache_hits.advance(tick);
-            sample(&mut out, "pst_serve_cache_hits_total", name, None, series.cache_hits.total());
+            sample(
+                &mut out,
+                "pst_serve_cache_hits_total",
+                name,
+                None,
+                series.cache_hits.total(),
+            );
         }
         // Summary family: live quantiles from the windowed ring, monotone
         // _sum/_count from the lifetime histogram.
@@ -324,10 +340,34 @@ impl LiveMetrics {
         for (name, series) in &mut self.methods {
             series.latency.advance(tick);
             let merged = series.latency.merged(windows);
-            sample(&mut out, "pst_serve_latency_nanos", name, Some("0.5"), merged.quantile(0.5));
-            sample(&mut out, "pst_serve_latency_nanos", name, Some("0.99"), merged.quantile(0.99));
-            sample(&mut out, "pst_serve_latency_nanos_sum", name, None, series.lifetime.sum());
-            sample(&mut out, "pst_serve_latency_nanos_count", name, None, series.lifetime.count());
+            sample(
+                &mut out,
+                "pst_serve_latency_nanos",
+                name,
+                Some("0.5"),
+                merged.quantile(0.5),
+            );
+            sample(
+                &mut out,
+                "pst_serve_latency_nanos",
+                name,
+                Some("0.99"),
+                merged.quantile(0.99),
+            );
+            sample(
+                &mut out,
+                "pst_serve_latency_nanos_sum",
+                name,
+                None,
+                series.lifetime.sum(),
+            );
+            sample(
+                &mut out,
+                "pst_serve_latency_nanos_count",
+                name,
+                None,
+                series.lifetime.count(),
+            );
         }
         family(&mut out, "pst_serve_shard_requests_total", "counter");
         for (i, s) in self.shards.iter().enumerate() {
@@ -441,9 +481,15 @@ mod tests {
     fn text_exposition_is_parseable_and_counters_are_monotone() {
         let mut live = LiveMetrics::new(1000, 4, 8, 1);
         live.record(&outcome("pst", 2_000, true, false), 0);
-        let first = live.render_text(&[("pst_serve_shed_total", 0)], &[("pst_serve_in_flight", 0)]);
+        let first = live.render_text(
+            &[("pst_serve_shed_total", 0)],
+            &[("pst_serve_in_flight", 0)],
+        );
         live.record(&outcome("pst", 4_000, true, true), 0);
-        let second = live.render_text(&[("pst_serve_shed_total", 1)], &[("pst_serve_in_flight", 2)]);
+        let second = live.render_text(
+            &[("pst_serve_shed_total", 1)],
+            &[("pst_serve_in_flight", 2)],
+        );
         for text in [&first, &second] {
             for line in text.lines() {
                 assert!(

@@ -291,7 +291,11 @@ mod tests {
         assert!(err.to_string().contains("checksum"), "{err}");
 
         // Version skew is refused, not reinterpreted.
-        fs::write(&path, good.replace("\"pst_snapshot\":1", "\"pst_snapshot\":99")).unwrap();
+        fs::write(
+            &path,
+            good.replace("\"pst_snapshot\":1", "\"pst_snapshot\":99"),
+        )
+        .unwrap();
         assert!(matches!(load(&path), Err(SnapshotError::Malformed(_))));
     }
 

@@ -44,17 +44,29 @@ fn request(id: u64, method: &str, edges: &str) -> String {
 fn result(session: &SharedSession, id: u64, method: &str, edges: &str) -> String {
     let reply = Json::parse(&session.handle_line(&request(id, method, edges)).line)
         .expect("replies are JSON");
-    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{method}: {reply:?}");
-    reply.get("result").expect("ok replies carry a result").to_string()
+    assert_eq!(
+        reply.get("ok"),
+        Some(&Json::Bool(true)),
+        "{method}: {reply:?}"
+    );
+    reply
+        .get("result")
+        .expect("ok replies carry a result")
+        .to_string()
 }
 
 fn from_scratch(edges: &str) -> String {
     let (graph, entry) = parse_edge_list_graph(edges).expect("inputs parse");
-    lint_graph(&graph, entry, &CanonicalizeOptions::default(), &LintConfig::new())
-        .expect("inputs canonicalize")
-        .report
-        .to_json("<edges>")
-        .to_string()
+    lint_graph(
+        &graph,
+        entry,
+        &CanonicalizeOptions::default(),
+        &LintConfig::new(),
+    )
+    .expect("inputs canonicalize")
+    .report
+    .to_json("<edges>")
+    .to_string()
 }
 
 fn config(snapshot_path: Option<String>) -> ServeConfig {

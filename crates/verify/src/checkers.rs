@@ -74,8 +74,16 @@ pub fn check_cycle_equiv(
             if fast_same != (oracle[i] == oracle[j]) {
                 report.push(format!(
                     "edges e{i} and e{j} are {} per the oracle but {} in the checked partition",
-                    if fast_same { "inequivalent" } else { "equivalent" },
-                    if fast_same { "equivalent" } else { "inequivalent" },
+                    if fast_same {
+                        "inequivalent"
+                    } else {
+                        "equivalent"
+                    },
+                    if fast_same {
+                        "equivalent"
+                    } else {
+                        "inequivalent"
+                    },
                 ));
                 if report.violations.len() == crate::report::MAX_RECORDED_VIOLATIONS {
                     return report;
@@ -203,13 +211,17 @@ pub fn check_pst(cfg: &Cfg, pst: &ProgramStructureTree) -> ViolationReport {
     while let Some(r) = stack.pop() {
         for &c in pst.children(r) {
             if pst.parent(c) != Some(r) {
-                report.push(format!("{c} is listed as a child of {r} but has another parent"));
+                report.push(format!(
+                    "{c} is listed as a child of {r} but has another parent"
+                ));
             }
             if pst.depth(c) != pst.depth(r) + 1 {
                 report.push(format!("{c} has depth {} under {r}", pst.depth(c)));
             }
             if !pst.region_contains(r, c) {
-                report.push(format!("containment intervals deny that {r} contains child {c}"));
+                report.push(format!(
+                    "containment intervals deny that {r} contains child {c}"
+                ));
             }
             if seen[c.index()] {
                 report.push(format!("{c} appears twice in the tree"));
@@ -322,8 +334,16 @@ pub fn check_control_regions(cfg: &Cfg, control_regions: &ControlRegions) -> Vio
             if got_same != (want[i] == want[j]) {
                 report.push(format!(
                     "nodes {i} and {j} are {} per the CDG baseline but {} in the checked partition",
-                    if got_same { "in different regions" } else { "in one region" },
-                    if got_same { "in one region" } else { "in different regions" },
+                    if got_same {
+                        "in different regions"
+                    } else {
+                        "in one region"
+                    },
+                    if got_same {
+                        "in one region"
+                    } else {
+                        "in different regions"
+                    },
                 ));
                 if report.violations.len() == crate::report::MAX_RECORDED_VIOLATIONS {
                     return report;
@@ -460,7 +480,11 @@ pub fn check_ntscd(
 /// from its definition via the maximal-path oracles (soundness); when
 /// the artifact claims completeness and the budget allows, the
 /// exhaustive enumeration is compared in full (no missing witnesses).
-pub fn check_dod(graph: &Graph, strong: &StrongControlDeps, budget: Option<u64>) -> ViolationReport {
+pub fn check_dod(
+    graph: &Graph,
+    strong: &StrongControlDeps,
+    budget: Option<u64>,
+) -> ViolationReport {
     let mut report = ViolationReport::new(CheckerId::Dod);
     let dod = strong.dod();
     let n = graph.node_count() as u64;

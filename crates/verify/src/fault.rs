@@ -140,14 +140,17 @@ pub fn inject(artifacts: &mut PipelineArtifacts, plan: &FaultPlan) -> Option<Str
             // between two singletons would merely rename labels).
             let labels = artifacts.detection.cycle_equiv.classes().to_vec();
             let groups = artifacts.detection.cycle_equiv.groups();
-            let donors: Vec<usize> = (0..groups.len()).filter(|&c| groups[c].len() >= 2).collect();
+            let donors: Vec<usize> = (0..groups.len())
+                .filter(|&c| groups[c].len() >= 2)
+                .collect();
             if donors.is_empty() || groups.len() < 2 {
                 return None;
             }
             let donor = *rng.pick(&donors);
             let edge = *rng.pick(&groups[donor]);
-            let others: Vec<u32> =
-                (0..groups.len() as u32).filter(|&c| c as usize != donor).collect();
+            let others: Vec<u32> = (0..groups.len() as u32)
+                .filter(|&c| c as usize != donor)
+                .collect();
             let target = *rng.pick(&others);
             let mut mutated = labels;
             mutated[edge.index()] = target;
@@ -174,8 +177,9 @@ pub fn inject(artifacts: &mut PipelineArtifacts, plan: &FaultPlan) -> Option<Str
         FaultKind::SplitCycleClass => {
             let labels = artifacts.detection.cycle_equiv.classes().to_vec();
             let groups = artifacts.detection.cycle_equiv.groups();
-            let splittable: Vec<usize> =
-                (0..groups.len()).filter(|&c| groups[c].len() >= 2).collect();
+            let splittable: Vec<usize> = (0..groups.len())
+                .filter(|&c| groups[c].len() >= 2)
+                .collect();
             if splittable.is_empty() {
                 return None;
             }
@@ -218,8 +222,7 @@ pub fn inject(artifacts: &mut PipelineArtifacts, plan: &FaultPlan) -> Option<Str
                 .iter()
                 .map(|(_, nodes)| nodes.to_vec())
                 .collect();
-            let occupied: Vec<usize> =
-                (0..lists.len()).filter(|&v| !lists[v].is_empty()).collect();
+            let occupied: Vec<usize> = (0..lists.len()).filter(|&v| !lists[v].is_empty()).collect();
             if occupied.is_empty() {
                 return None;
             }

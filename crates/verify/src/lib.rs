@@ -89,8 +89,7 @@ mod tests {
         let cfg = parse_edge_list("0->1 0->2 1->3 2->3").unwrap();
         let mut artifacts = compute_artifacts_for_cfg(&cfg);
         // The diamond join at node 3 needs φs; erase them all.
-        let empty: Vec<Vec<pst_cfg::NodeId>> =
-            vec![Vec::new(); artifacts.function.var_count()];
+        let empty: Vec<Vec<pst_cfg::NodeId>> = vec![Vec::new(); artifacts.function.var_count()];
         artifacts.phi = PhiPlacement::from_lists(empty);
         let report = verify_artifacts(&artifacts, &VerifyConfig::default());
         assert!(!report.is_clean());

@@ -45,9 +45,7 @@ pub(crate) fn oracle_inevitable(graph: &Graph, w: NodeId) -> Vec<bool> {
             escape[x.index()] = true;
         }
         // Nodes on a cycle of G' start an infinite w-free path.
-        if comp_size[sccs.component(x)] >= 2
-            || pruned.successors(x).any(|s| s == x)
-        {
+        if comp_size[sccs.component(x)] >= 2 || pruned.successors(x).any(|s| s == x) {
             escape[x.index()] = true;
         }
     }
@@ -129,10 +127,7 @@ pub(crate) fn oracle_dod(graph: &Graph) -> Vec<(NodeId, NodeId, NodeId)> {
     if branches.is_empty() {
         return Vec::new();
     }
-    let inevitable: Vec<Vec<bool>> = graph
-        .nodes()
-        .map(|w| oracle_inevitable(graph, w))
-        .collect();
+    let inevitable: Vec<Vec<bool>> = graph.nodes().map(|w| oracle_inevitable(graph, w)).collect();
     let mut witnesses = Vec::new();
     for ai in 0..n {
         for bi in (ai + 1)..n {

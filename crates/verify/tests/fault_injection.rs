@@ -73,7 +73,10 @@ fn inapplicable_faults_do_not_corrupt() {
         let applied = inject(&mut artifacts, &FaultPlan { kind, seed: 0 });
         assert!(applied.is_none(), "{kind} cannot apply to a single edge");
         let report = verify_artifacts(&artifacts, &VerifyConfig::default());
-        assert!(report.is_clean(), "inapplicable {kind} corrupted state:\n{report}");
+        assert!(
+            report.is_clean(),
+            "inapplicable {kind} corrupted state:\n{report}"
+        );
     }
 }
 

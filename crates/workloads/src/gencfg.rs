@@ -385,8 +385,14 @@ mod tests {
 
     #[test]
     fn random_cfg_rejects_tiny_n() {
-        assert_eq!(random_cfg(2, 5, 1).unwrap_err(), RandomCfgError::TooSmall(2));
-        assert!(random_cfg(0, 0, 1).unwrap_err().to_string().contains("n >= 3"));
+        assert_eq!(
+            random_cfg(2, 5, 1).unwrap_err(),
+            RandomCfgError::TooSmall(2)
+        );
+        assert!(random_cfg(0, 0, 1)
+            .unwrap_err()
+            .to_string()
+            .contains("n >= 3"));
     }
 
     #[test]

@@ -36,7 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for v in 0..lowered.var_count() {
         let var = VarId::from_index(v);
         let problem = SingleVariableReachingDefs::new(&lowered, var);
-        let qpg = ctx.build_from_sites(problem.sites()).expect("PST matches its CFG");
+        let qpg = ctx
+            .build_from_sites(problem.sites())
+            .expect("PST matches its CFG");
         let sparse = ctx.solve(&qpg, &problem).expect("PST matches its CFG");
         let full = solve_iterative(&lowered.cfg, &problem);
         assert_eq!(sparse, full, "QPG solution must equal the full solution");

@@ -109,15 +109,19 @@ struct Defs {
 impl Defs {
     fn new(cfg: &Cfg, sites: &[NodeId]) -> Self {
         let universe = sites.len();
-        let mut transfers: Vec<GenKill> =
-            (0..cfg.node_count()).map(|_| GenKill::identity(universe)).collect();
+        let mut transfers: Vec<GenKill> = (0..cfg.node_count())
+            .map(|_| GenKill::identity(universe))
+            .collect();
         for (i, s) in sites.iter().enumerate() {
             let t = &mut transfers[s.index()];
             t.gen.insert(i);
             t.kill = BitSet::full(universe);
             t.kill.remove(i);
         }
-        Defs { transfers, universe }
+        Defs {
+            transfers,
+            universe,
+        }
     }
 }
 

@@ -104,8 +104,7 @@ fn graph_lint_counters_scale_linearly_with_edges() {
         assert!(!lint.report.rules_run.is_empty());
         let report = pst_obs::report();
         let e = cfg.edge_count();
-        let work =
-            report.counter("lint_structural_work") + report.counter("lint_controldep_work");
+        let work = report.counter("lint_structural_work") + report.counter("lint_controldep_work");
         assert!(work > 0, "lint recorded no work at n={n}");
         assert!(
             report.counter("lint_strongdep_work") > 0,
@@ -137,10 +136,12 @@ fn function_lint_counters_scale_with_program_size() {
         let report = lint_function(&lowered, Some(&function), &LintConfig::new());
         assert_eq!(report.rules_run.len(), 9, "all mini rules ran");
         let obs = pst_obs::report();
-        let size = lowered.statement_count()
-            + lowered.cfg.node_count()
-            + lowered.cfg.edge_count();
-        for family in ["lint_structural_work", "lint_controldep_work", "lint_dataflow_work"] {
+        let size = lowered.statement_count() + lowered.cfg.node_count() + lowered.cfg.edge_count();
+        for family in [
+            "lint_structural_work",
+            "lint_controldep_work",
+            "lint_dataflow_work",
+        ] {
             let work = obs.counter(family);
             assert!(work > 0, "{family} recorded nothing at {stmts} stmts");
             assert!(

@@ -137,7 +137,14 @@ fn full_pipeline_produces_the_expected_span_tree() {
     let text = json.to_string();
     let parsed = pst_obs::json::Json::parse(&text).unwrap();
     // parse and lower are roots; cycle_equiv nests under pst -> sese.
-    for name in ["parse", "lower", "pst", "sese", "cycle_equiv", "undirected_dfs"] {
+    for name in [
+        "parse",
+        "lower",
+        "pst",
+        "sese",
+        "cycle_equiv",
+        "undirected_dfs",
+    ] {
         let span = parsed
             .find_object_with("name", name)
             .unwrap_or_else(|| panic!("span `{name}` missing from {text}"));
@@ -146,13 +153,9 @@ fn full_pipeline_produces_the_expected_span_tree() {
             "span `{name}` has no duration"
         );
     }
-    let pst_span = parsed
-        .find_object_with("name", "pst")
-        .unwrap();
+    let pst_span = parsed.find_object_with("name", "pst").unwrap();
     assert!(
-        pst_span
-            .find_object_with("name", "cycle_equiv")
-            .is_some(),
+        pst_span.find_object_with("name", "cycle_equiv").is_some(),
         "cycle_equiv must be nested inside the pst span"
     );
 }
