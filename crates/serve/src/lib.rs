@@ -27,9 +27,11 @@
 //! - [`hash`] — SplitMix64 content hashing for unit ids
 //! - [`proto`] — request/response envelopes and error codes
 //! - [`cache`] — the budgeted LRU unit cache
-//! - [`session`] — artifact interning, dispatch, panic containment
-//! - [`shared`] — sharded concurrent front-end: admission, drain,
-//!   snapshot lifecycle, aggregated stats
+//! - [`session`] — one cache shard: artifact interning, the unit
+//!   methods, panic containment
+//! - [`shared`] — the one front end over the shards: control methods
+//!   (`stats`, `metrics`, `slowlog`, `drain`, `shutdown`), content-key
+//!   routing, admission, snapshot lifecycle
 //! - [`metrics`] — live telemetry: windowed per-method/per-shard
 //!   series, the slow-request ring, Prometheus-style text exposition
 //! - `snapshot` — versioned, checksummed, atomically-written cache
