@@ -146,14 +146,6 @@ impl Dfs {
         &self.postorder_nodes
     }
 
-    /// Nodes in reverse postorder — the canonical iteration order for
-    /// forward data-flow problems.
-    pub fn reverse_postorder(&self) -> Vec<NodeId> {
-        let mut v = self.postorder_nodes.clone();
-        v.reverse();
-        v
-    }
-
     /// Classification of `edge`, or `None` if its source was unreachable.
     pub fn edge_kind(&self, edge: EdgeId) -> Option<DirectedEdgeKind> {
         self.edge_kind[edge.index()]
@@ -191,11 +183,11 @@ mod tests {
         assert_eq!(dfs.postorder_number(cfg.entry()), Some(2));
         assert_eq!(dfs.reached_count(), 3);
         assert_eq!(
-            dfs.reverse_postorder()
+            dfs.postorder_nodes()
                 .iter()
                 .map(|n| n.index())
                 .collect::<Vec<_>>(),
-            vec![0, 1, 2]
+            vec![2, 1, 0]
         );
     }
 

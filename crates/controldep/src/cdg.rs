@@ -76,11 +76,6 @@ impl ControlDependence {
         self.deps[node.index()].binary_search(&edge).is_ok()
     }
 
-    /// The strongly connected closure `S` (original edge ids preserved).
-    pub fn closure_graph(&self) -> &Graph {
-        &self.closure
-    }
-
     /// Id of the virtual `end → start` edge.
     pub fn virtual_edge(&self) -> EdgeId {
         self.virtual_edge
@@ -201,7 +196,8 @@ mod tests {
         let cfg = parse_edge_list("0->1 0->2 1->3 2->3").unwrap();
         let c = ControlDependence::compute(&cfg);
         for node in cfg.graph().nodes() {
-            for e in c.closure_graph().edges() {
+            // The edges of `S`: the CFG's, then the virtual one.
+            for e in cfg.graph().edges().chain([c.virtual_edge()]) {
                 assert_eq!(c.depends_on(node, e), c.deps_of(node).contains(&e));
             }
         }

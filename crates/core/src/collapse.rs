@@ -43,17 +43,6 @@ pub struct CollapsedRegion {
     pub tail: NodeId,
 }
 
-impl CollapsedRegion {
-    /// Mini node standing for the given CFG node or containing child, if
-    /// the node belongs to this region's scope.
-    pub fn mini_of(&self, member: CollapsedNode) -> Option<NodeId> {
-        self.members
-            .iter()
-            .position(|&m| m == member)
-            .map(NodeId::from_index)
-    }
-}
-
 /// Collapses every region of `pst` (indexed by [`RegionId`]).
 ///
 /// # Examples
@@ -425,11 +414,8 @@ mod tests {
         let c = collapse_all(&cfg, &pst);
         let outer = pst.region_of_node(NodeId::from_index(1));
         let mini = &c[outer.index()];
-        assert!(mini
-            .mini_of(CollapsedNode::Interior(NodeId::from_index(1)))
-            .is_some());
-        assert!(mini
-            .mini_of(CollapsedNode::Interior(NodeId::from_index(3)))
-            .is_none());
+        let interior = |i| CollapsedNode::Interior(NodeId::from_index(i));
+        assert!(mini.members.contains(&interior(1)));
+        assert!(!mini.members.contains(&interior(3)));
     }
 }

@@ -326,13 +326,6 @@ impl ProgramStructureTree {
         Some(r)
     }
 
-    /// Region *size* in the paper's collapsed sense: interior nodes plus
-    /// immediately nested regions each counted as one statement.
-    pub fn collapsed_size(&self, region: RegionId) -> usize {
-        let interior = self.node_region.iter().filter(|&&r| r == region).count();
-        interior + self.children(region).len()
-    }
-
     /// Number of CFG nodes the tree was built over.
     pub fn node_count(&self) -> usize {
         self.node_region.len()
@@ -586,10 +579,13 @@ mod tests {
         let cfg = parse_edge_list("0->1 1->2 2->3").unwrap();
         let pst = ProgramStructureTree::build(&cfg);
         let kids = pst.children(pst.root());
+        // A collapsed region has one node per interior node and per child.
+        let minis = crate::collapse_all(&cfg, &pst);
         // Each chain region has exactly one interior node and no children.
-        assert_eq!(pst.collapsed_size(kids[0]), 1);
+        assert_eq!(minis[kids[0].index()].graph.node_count(), 1);
         // Root: interior nodes 0 and 3, two child regions.
-        assert_eq!(pst.collapsed_size(pst.root()), 4);
+        assert_eq!(minis[pst.root().index()].graph.node_count(), 4);
+        assert_eq!(crate::PstStats::of(&pst).max_collapsed_size, 4);
     }
 
     #[test]

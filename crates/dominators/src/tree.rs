@@ -183,19 +183,6 @@ impl DomTree {
         a != b && self.dominates(a, b)
     }
 
-    /// All nodes dominated by `node` (including itself), in tree preorder.
-    pub fn dominated_by(&self, node: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack = vec![node];
-        while let Some(v) = stack.pop() {
-            out.push(v);
-            for &c in self.children(v) {
-                stack.push(c);
-            }
-        }
-        out
-    }
-
     /// Number of nodes the tree was computed over (reachable or not).
     pub fn node_count(&self) -> usize {
         self.idom.len()
@@ -229,8 +216,7 @@ mod tests {
     fn dominated_by_collects_subtree() {
         let cfg = parse_edge_list("0->1 1->2 1->3 2->4 3->4").unwrap();
         let dt = dominator_tree(cfg.graph(), cfg.entry());
-        let mut sub: Vec<usize> = dt.dominated_by(n(1)).iter().map(|x| x.index()).collect();
-        sub.sort_unstable();
+        let sub: Vec<usize> = (0..5).filter(|&v| dt.dominates(n(1), n(v))).collect();
         assert_eq!(sub, vec![1, 2, 3, 4]);
     }
 

@@ -115,12 +115,6 @@ impl LoweredFunction {
         out
     }
 
-    /// Whether block `node` reads `v` (in a statement or its branch).
-    pub fn block_uses(&self, node: NodeId, v: VarId) -> bool {
-        let b = &self.blocks[node.index()];
-        b.branch_uses.contains(&v) || b.stmts.iter().any(|s| s.uses.contains(&v))
-    }
-
     /// Whether block `node` writes `v`.
     pub fn block_defines(&self, node: NodeId, v: VarId) -> bool {
         self.blocks[node.index()]
@@ -672,7 +666,7 @@ mod tests {
         let cond = l.cfg.graph().successors(l.cfg.entry()).next().unwrap();
         assert_eq!(l.cfg.graph().out_degree(cond), 2);
         let c = l.var_id("c").unwrap();
-        assert!(l.block_uses(cond, c));
+        assert!(l.blocks[cond.index()].branch_uses.contains(&c));
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl PhiPlacement {
         &self.phis[var.index()]
     }
 
-    /// Whether `var` needs a φ at `node`.
-    pub fn has_phi(&self, var: VarId, node: NodeId) -> bool {
-        self.phis[var.index()].binary_search(&node).is_ok()
-    }
-
     /// Number of variables covered.
     pub fn var_count(&self) -> usize {
         self.phis.len()
@@ -159,10 +154,12 @@ mod tests {
     #[test]
     fn has_phi_matches_lists() {
         let (l, p) = placement("if (c) { x = 1; } else { x = 2; } return x;");
+        let x = l.var_id("x").unwrap();
         for (var, nodes) in p.iter() {
-            for node in l.cfg.graph().nodes() {
-                assert_eq!(p.has_phi(var, node), nodes.contains(&node));
-            }
+            assert_eq!(p.phis_of(var), nodes);
+            assert!(nodes.windows(2).all(|w| w[0] < w[1]), "sorted, no repeats");
+            // Only `x` is assigned on both arms of the diamond.
+            assert_eq!(nodes.len(), usize::from(var == x));
         }
     }
 }

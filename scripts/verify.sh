@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 echo "== build (release) =="
 cargo build --release
 
+echo "== fmt =="
+# Every workspace member, vendor/* included, must be rustfmt-clean.
+cargo fmt --all --check
+
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
