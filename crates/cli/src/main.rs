@@ -83,7 +83,8 @@ use pst_dataflow::{solve_iterative, SingleVariableReachingDefs};
 use pst_lang::{lower_program, parse_program, LoweredFunction, VarId};
 use pst_ssa::{place_phis_cytron, rename};
 
-const USAGE: &str = "usage: pst <regions|kinds|dot|clusters|control-regions|ssa|dataflow> \
+const USAGE: &str = "usage: pst \
+     <regions|kinds|dot|clusters|control-regions|ssa|dataflow|loops|intervals> \
      <file.mini | -> [--paranoid] [--trace] [--metrics-json <path>] [--journal <path>]\n       \
      pst --canonicalize <edges.txt | -> [--tether] [--split-self-loops] [--paranoid]\n       \
      pst lint <file.mini | -> [--edges] [--json] [--dot <path>] \

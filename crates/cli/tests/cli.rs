@@ -174,6 +174,11 @@ fn loops_and_intervals_commands() {
     let (out, _, code) = run(&["intervals", f.to_str().unwrap()], None);
     assert_eq!(code, 0);
     assert!(out.contains("reducible"), "{out}");
+
+    // The usage line lists both commands.
+    let (_, err, code) = run(&["bogus", f.to_str().unwrap()], None);
+    assert_eq!(code, 2);
+    assert!(err.contains("|dataflow|loops|intervals>"), "{err}");
 }
 
 #[test]

@@ -15,8 +15,11 @@
 //!   QPGs under 10 % of the CFG's size on average).
 //!
 //! Problems provided: [`ReachingDefinitions`], [`LiveVariables`],
-//! [`DefiniteAssignment`], [`SingleVariableReachingDefs`],
-//! [`AvailableExpressions`], [`VeryBusyExpressions`].
+//! [`DefiniteAssignment`], [`SingleVariableReachingDefs`].
+//!
+//! [`derived_sequence`] computes the Allen–Cocke interval structure of
+//! the classic elimination approach, which gets stuck on irreducible
+//! graphs where PST elimination does not.
 //!
 //! # Examples
 //!
@@ -42,7 +45,6 @@
 
 mod bitset;
 mod elimination;
-mod expressions;
 mod framework;
 mod intervals;
 mod iterative;
@@ -52,9 +54,8 @@ mod seg;
 
 pub use bitset::BitSet;
 pub use elimination::solve_elimination;
-pub use expressions::{AvailableExpressions, ExpressionTable, VeryBusyExpressions};
 pub use framework::{Confluence, DataflowProblem, Flow, GenKill, Solution, SolverError};
-pub use intervals::{derived_sequence, solve_intervals, DerivedSequence};
+pub use intervals::{derived_sequence, DerivedSequence};
 pub use iterative::solve_iterative;
 pub use problems::{
     DefSite, DefiniteAssignment, LiveVariables, ReachingDefinitions, SingleVariableReachingDefs,

@@ -46,11 +46,6 @@ pub struct StmtInfo {
     pub uses: Vec<VarId>,
     /// Source rendering, for dumps and examples.
     pub text: String,
-    /// Canonical key of the right-hand side when it is a *pure*,
-    /// non-trivial expression (no calls, at least one operator) — the
-    /// expression identity used by available/very-busy expression
-    /// analyses. `None` otherwise.
-    pub expr_key: Option<String>,
     /// Source position of the statement's first token, when the AST came
     /// from the parser (`None` for synthetic statements such as the
     /// implicit `param` definitions or generator output).
@@ -168,26 +163,6 @@ impl fmt::Display for LowerError {
 
 impl Error for LowerError {}
 
-/// Canonical identity of a pure, non-trivial expression (the fact unit of
-/// available/very-busy expression analyses): the minimally-parenthesized
-/// source rendering. Calls are impure and literals/bare variables are
-/// trivial, so they key to `None`.
-fn expr_key(e: &Expr) -> Option<String> {
-    fn pure(e: &Expr) -> bool {
-        match e {
-            Expr::Num(_) | Expr::Var(_) => true,
-            Expr::Unary(_, a) => pure(a),
-            Expr::Binary(_, a, b) => pure(a) && pure(b),
-            Expr::Call(..) => false,
-        }
-    }
-    match e {
-        Expr::Num(_) | Expr::Var(_) | Expr::Call(..) => None,
-        _ if pure(e) => Some(pretty_expr(e)),
-        _ => None,
-    }
-}
-
 /// Lowers every function of a program.
 ///
 /// # Errors
@@ -225,7 +200,6 @@ pub fn lower_function(f: &Function) -> Result<LoweredFunction, LowerError> {
             def: Some(v),
             uses: Vec::new(),
             text: format!("param {p}"),
-            expr_key: None,
             pos: None,
         });
     }
@@ -339,7 +313,6 @@ impl Lowerer {
                     def: Some(def),
                     uses,
                     text: stmt_head(s),
-                    expr_key: expr_key(value),
                     pos,
                 });
                 Ok(())
@@ -351,7 +324,6 @@ impl Lowerer {
                     def: None,
                     uses,
                     text: pretty_expr(e),
-                    expr_key: expr_key(e),
                     pos,
                 });
                 Ok(())
@@ -536,7 +508,6 @@ impl Lowerer {
                     def: None,
                     uses,
                     text,
-                    expr_key: None,
                     pos,
                 });
                 self.edge(cur, EXIT);
@@ -814,41 +785,5 @@ mod tests {
     fn label_without_goto_is_fine() {
         let l = lower("l: x = 1; return x;");
         assert!(l.cfg.node_count() >= 2);
-    }
-}
-
-#[cfg(test)]
-mod expr_key_tests {
-    use super::*;
-    use crate::parser::parse_function_body;
-
-    fn keys(src: &str) -> Vec<Option<String>> {
-        let f = parse_function_body(src).unwrap();
-        let l = lower_function(&f).unwrap();
-        l.blocks
-            .iter()
-            .flat_map(|b| b.stmts.iter().map(|s| s.expr_key.clone()))
-            .collect()
-    }
-
-    #[test]
-    fn pure_binary_expressions_get_keys() {
-        let k = keys("x = a + b; y = a + b; return x;");
-        assert_eq!(k[0].as_deref(), Some("a + b"));
-        assert_eq!(k[0], k[1], "same expression, same key");
-    }
-
-    #[test]
-    fn trivial_and_impure_rhs_have_no_key() {
-        let k = keys("x = 5; y = a; z = f(a + b); return z;");
-        assert!(k.iter().take(3).all(|e| e.is_none()), "{k:?}");
-    }
-
-    #[test]
-    fn keys_are_syntax_sensitive_but_paren_canonical() {
-        let k = keys("x = (a + b) * c; y = a + b * c; return x;");
-        assert_eq!(k[0].as_deref(), Some("(a + b) * c"));
-        assert_eq!(k[1].as_deref(), Some("a + b * c"));
-        assert_ne!(k[0], k[1]);
     }
 }

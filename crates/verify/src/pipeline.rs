@@ -87,7 +87,6 @@ pub fn synthetic_function(cfg: &Cfg) -> LoweredFunction {
                 def: Some(def),
                 uses: uses.clone(),
                 text: format!("v{} = mix(...)", i % SYNTHETIC_VARS),
-                expr_key: None,
                 pos: None,
             }],
             branch_uses: uses,

@@ -36,6 +36,12 @@ echo "== test: the shared dominator kernel and reducibility witnesses vs their o
 PROPTEST_CASES=2000 cargo test -q --release -p pst-cfg --lib postorder::tests
 PROPTEST_CASES=2000 cargo test -q --release -p pst-cfg --test proptest_cfg reducibility_matches_dominator_criterion
 
+echo "== test: dataflow solvers vs the iterative oracle, 2000 cases =="
+# PST elimination, QPG (forward and backward) and SEG against the
+# iterative solver, and the derived sequence against the reducibility
+# test.
+PROPTEST_CASES=2000 cargo test -q --release -p pst-dataflow
+
 echo "== test: pstbench (the benchmark's own checks) =="
 # The benchmark is a workspace of its own; its self-tests prove that
 # its metrics and gates can fail. Build output shares run.py's
