@@ -6,8 +6,8 @@
 use std::borrow::Cow;
 use std::cell::OnceCell;
 
-use pst_cfg::{Canonicalized, Cfg, Graph, NodeId};
-use pst_controldep::{Dod, StrongControlDeps, DEFAULT_DOD_BUDGET};
+use pst_cfg::{Budget, Canonicalized, Cfg, Exhausted, Graph};
+use pst_controldep::{ClassicControlDeps, Dod, StrongControlDeps, DEFAULT_DOD_BUDGET};
 use pst_core::{collapse_all, ControlRegions, ProgramStructureTree};
 use pst_dataflow::{solve_iterative, QpgContext, QpgError, ReachingDefinitions, Solution};
 use pst_lang::{Function, LoweredFunction};
@@ -164,19 +164,14 @@ impl<'a> Analysis<'a> {
     }
 
     /// All-variable reaching definitions and their solution (`None` when
-    /// the function defines nothing), solved once through the QPG of the
-    /// definition blocks. When the PST admits no QPG the iterative solver
-    /// stands in; both reach the same fixed point.
+    /// the function defines nothing), solved once by the iterative solver
+    /// (a QPG over every definition block bypasses little, and was slower:
+    /// EXPERIMENTS.md §6.2).
     pub fn reaching_definitions(&self) -> (&ReachingDefinitions, Option<&Solution>) {
         let (rd, solution) = self.stages.reaching.get_or_init(|| {
             let f = self.expect_function();
             let rd = ReachingDefinitions::new(f);
-            let solution = (!rd.sites().is_empty()).then(|| {
-                let site_nodes: Vec<NodeId> = rd.sites().iter().map(|s| s.node).collect();
-                self.qpg_context()
-                    .and_then(|ctx| ctx.solve(&ctx.build_from_sites(&site_nodes)?, &rd))
-                    .unwrap_or_else(|_| solve_iterative(&f.cfg, &rd))
-            });
+            let solution = (!rd.sites().is_empty()).then(|| solve_iterative(&f.cfg, &rd));
             (rd, solution)
         });
         (rd, solution.as_ref())
@@ -184,28 +179,36 @@ impl<'a> Analysis<'a> {
 
     /// Strong control dependence (NTSCD, DOD, strong regions) of
     /// [`Analysis::input_graph`], plus the classic relation for a
-    /// function. A DOD computed earlier by [`Analysis::dod`] is reused.
-    pub fn strong(&self) -> &StrongControlDeps {
-        self.stages.strong.get_or_init(|| match &self.unit {
-            Unit::Function { function, .. } => StrongControlDeps::of_cfg(&function.cfg),
-            Unit::Graph { graph, .. } => match self.stages.dod.get() {
-                Some(dod) => StrongControlDeps::of_graph_with_dod(graph, dod.clone()),
-                None => StrongControlDeps::of_graph(graph),
-            },
-        })
+    /// function, computed under `budget`. A DOD computed earlier by
+    /// [`Analysis::dod`] is reused. When `budget` runs out nothing is
+    /// memoized, and a later call starts afresh.
+    pub fn strong(&self, budget: &mut Budget) -> Result<&StrongControlDeps, Exhausted> {
+        if let Some(strong) = self.stages.strong.get() {
+            return Ok(strong);
+        }
+        let (dod, classic) = match &self.unit {
+            Unit::Function { function, .. } => {
+                (None, Some(ClassicControlDeps::compute(&function.cfg)))
+            }
+            Unit::Graph { .. } => (self.stages.dod.get().cloned(), None),
+        };
+        let strong = StrongControlDeps::compute_within(self.input_graph(), classic, dod, *budget)?;
+        Ok(self.stages.strong.get_or_init(|| strong))
     }
 
     /// The decisive order dependence of [`Analysis::input_graph`] under
-    /// [`DEFAULT_DOD_BUDGET`]: the one inside [`Analysis::strong`] when
-    /// that exists, else computed alone (without NTSCD) and kept.
-    pub fn dod(&self) -> &Dod {
-        match self.stages.strong.get() {
-            Some(strong) => strong.dod(),
-            None => self
-                .stages
-                .dod
-                .get_or_init(|| Dod::compute_budgeted(self.input_graph(), DEFAULT_DOD_BUDGET)),
+    /// [`DEFAULT_DOD_BUDGET`] steps and `budget`: the one inside
+    /// [`Analysis::strong`] when that exists, else computed alone (without
+    /// NTSCD) and kept; nothing is kept when `budget`'s deadline passes.
+    pub fn dod(&self, budget: &mut Budget) -> Result<&Dod, Exhausted> {
+        if let Some(strong) = self.stages.strong.get() {
+            return Ok(strong.dod());
         }
+        if let Some(dod) = self.stages.dod.get() {
+            return Ok(dod);
+        }
+        let dod = Dod::compute_within(self.input_graph(), DEFAULT_DOD_BUDGET, *budget)?;
+        Ok(self.stages.dod.get_or_init(|| dod))
     }
 
     /// A crude, monotone estimate of the heap this value holds: its input
@@ -256,5 +259,36 @@ impl Analysis<'static> {
             graph: Cow::Owned(graph),
             canonical: Cow::Owned(canonical),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Instant;
+
+    use super::*;
+    use pst_lang::{lower_program, parse_program};
+
+    #[test]
+    fn a_strong_stage_cut_by_the_deadline_keeps_nothing() {
+        // 100 diamonds: NTSCD spends more than one clock stride on them.
+        let ladder: String = (0..100)
+            .map(|i| format!("if (n > {i}) {{ a = a + {i}; }} else {{ b = a; }}\n"))
+            .collect();
+        let source = format!("fn f(n) {{ a = 0; b = 0; {ladder} return a + b; }}");
+        let lowered = lower_program(&parse_program(&source).unwrap()).unwrap();
+        let analysis = Analysis::of_function(&lowered[0], None);
+        let mut expired = Budget::UNLIMITED.until(Instant::now());
+        assert_eq!(
+            analysis.strong(&mut expired).err(),
+            Some(Exhausted::Deadline)
+        );
+        let mut unlimited = Budget::UNLIMITED;
+        let strong = analysis.strong(&mut unlimited).unwrap();
+        let fresh = StrongControlDeps::of_cfg(&lowered[0].cfg);
+        assert_eq!(strong.ntscd(), fresh.ntscd());
+        assert_eq!(strong.classic(), fresh.classic());
+        assert_eq!(strong.dod(), fresh.dod());
+        assert_eq!(strong.regions(), fresh.regions());
     }
 }

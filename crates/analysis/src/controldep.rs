@@ -3,7 +3,7 @@
 //! (`PST-C1xx`) built on the termination-sensitive NTSCD/DOD relations
 //! from `pst-controldep` (see `docs/CONTROLDEP.md`).
 
-use pst_cfg::{Canonicalized, Graph, NodeId, Repair, Sccs};
+use pst_cfg::{Budget, Canonicalized, Exhausted, Graph, NodeId, Repair, Sccs};
 use pst_controldep::ClassicControlDeps;
 
 use crate::diag::Diagnostic;
@@ -112,10 +112,14 @@ pub(crate) fn empty_branch_arms(analysis: &Analysis<'_>, sink: &mut Sink<'_>) {
 /// The finding is enriched with the NTSCD view: the number of nodes that
 /// are strongly (termination-sensitively) but not classically control
 /// dependent on the guard — the code that silently relies on this loop
-/// finishing.
-pub(crate) fn invariant_loop_guards(analysis: &Analysis<'_>, sink: &mut Sink<'_>) {
+/// finishing. Each peeling round spends `N + E + 1` steps of `budget`.
+pub(crate) fn invariant_loop_guards(
+    analysis: &Analysis<'_>,
+    sink: &mut Sink<'_>,
+    budget: &mut Budget,
+) -> Result<(), Exhausted> {
     let Some(rule) = sink.rule("PST-C101") else {
-        return;
+        return Ok(());
     };
     let f = analysis.expect_function();
     let graph = f.cfg.graph();
@@ -131,6 +135,7 @@ pub(crate) fn invariant_loop_guards(analysis: &Analysis<'_>, sink: &mut Sink<'_>
         .collect();
     let mut active = vec![true; n];
     loop {
+        budget.spend((n + graph.edge_count() + 1) as u64)?;
         // SCCs of the subgraph induced by the still-active nodes. Node ids
         // are preserved, so components translate back directly.
         let mut sub = Graph::with_capacity(n, graph.edge_count());
@@ -198,7 +203,10 @@ pub(crate) fn invariant_loop_guards(analysis: &Analysis<'_>, sink: &mut Sink<'_>
                 changed = true;
             } else {
                 let g0 = dead_guards[0];
-                let waiting = analysis.strong().termination_sensitive_deps(g0).len();
+                let waiting = analysis
+                    .strong(budget)?
+                    .termination_sensitive_deps(g0)
+                    .len();
                 let mut vars: Vec<&str> = dead_guards
                     .iter()
                     .flat_map(|&g| f.blocks[g.index()].branch_uses.iter())
@@ -240,7 +248,7 @@ pub(crate) fn invariant_loop_guards(analysis: &Analysis<'_>, sink: &mut Sink<'_>
             }
         }
         if !changed {
-            break;
+            return Ok(());
         }
     }
 }
@@ -323,19 +331,20 @@ pub(crate) fn synthetic_termination_dependence(
 /// does decide *in which order*. Computed by the DOD relation on the raw
 /// input graph ([`Analysis::dod`]); one finding per deciding branch,
 /// witnesses aggregated.
-pub(crate) fn order_dependent_pairs(analysis: &Analysis<'_>, sink: &mut Sink<'_>) {
+pub(crate) fn order_dependent_pairs(
+    analysis: &Analysis<'_>,
+    sink: &mut Sink<'_>,
+    budget: &mut Budget,
+) -> Result<(), Exhausted> {
     let Some(rule) = sink.rule("PST-C103") else {
-        return;
+        return Ok(());
     };
     let graph = analysis.input_graph();
     pst_obs::counter!(
         "lint_strongdep_work",
         (graph.node_count() + graph.edge_count()) as u64
     );
-    let dod = analysis.dod();
-    if dod.is_empty() {
-        return;
-    }
+    let dod = analysis.dod(budget)?;
     // Witnesses are sorted by (branch, first, second); group consecutively.
     let witnesses = dod.witnesses();
     let mut i = 0;
@@ -376,4 +385,5 @@ pub(crate) fn order_dependent_pairs(analysis: &Analysis<'_>, sink: &mut Sink<'_>
         });
         i = j;
     }
+    Ok(())
 }

@@ -1,7 +1,10 @@
 //! The lint driver: runs every enabled, applicable rule over a function or
 //! a raw graph and collects the findings into a [`LintReport`].
 
-use pst_cfg::{canonicalize, CanonicalizeError, CanonicalizeOptions, Canonicalized, Graph, NodeId};
+use pst_cfg::{
+    canonicalize, Budget, CanonicalizeError, CanonicalizeOptions, Canonicalized, Exhausted, Graph,
+    NodeId,
+};
 use pst_dataflow::{ReachingDefinitions, Solution};
 use pst_lang::{Function, LoweredFunction};
 
@@ -64,8 +67,13 @@ impl<'a> Sink<'a> {
 /// graph unit runs every rule that needs no statements; a function's AST,
 /// when present, enables the statement-level ones (`PST-S003` on mini
 /// inputs). Diagnostics carry source positions whenever the lowered side
-/// tables kept them.
-pub fn lint(analysis: &Analysis<'_>, config: &LintConfig) -> LintReport {
+/// tables kept them. The strong-control-dependence rules (`PST-C101`,
+/// `PST-C103`) spend from `budget`; when it runs out no report is made.
+pub fn lint(
+    analysis: &Analysis<'_>,
+    config: &LintConfig,
+    budget: &mut Budget,
+) -> Result<LintReport, Exhausted> {
     let _span = pst_obs::Span::enter("lint");
     let mut sink = Sink::new(config);
     structural::irreducible_loops(analysis.cfg(), &mut sink);
@@ -75,20 +83,20 @@ pub fn lint(analysis: &Analysis<'_>, config: &LintConfig) -> LintReport {
         structural::infinite_regions(&canonical.report, &mut sink);
         controldep::vacuous_branches(analysis, &mut sink);
         controldep::synthetic_termination_dependence(analysis.input_graph(), canonical, &mut sink);
-        controldep::order_dependent_pairs(analysis, &mut sink);
+        controldep::order_dependent_pairs(analysis, &mut sink, budget)?;
     } else {
         structural::unreachable_statements(analysis, &mut sink);
         structural::bureaucratic_regions(analysis, &mut sink);
         controldep::vacuous_branches(analysis, &mut sink);
         controldep::empty_branch_arms(analysis, &mut sink);
-        controldep::invariant_loop_guards(analysis, &mut sink);
+        controldep::invariant_loop_guards(analysis, &mut sink, budget)?;
         dataflow::reaching_definition_rules(analysis, &mut sink);
     }
-    sink.into_report()
+    Ok(sink.into_report())
 }
 
 /// Lints one lowered function (and its AST, when the front end made
-/// one): [`lint`] over a fresh [`Analysis`].
+/// one): [`lint`] over a fresh [`Analysis`], with no budget.
 ///
 /// # Examples
 ///
@@ -107,7 +115,9 @@ pub fn lint_function(
     ast: Option<&Function>,
     config: &LintConfig,
 ) -> LintReport {
-    lint(&Analysis::of_function(f, ast), config)
+    let mut unlimited = Budget::UNLIMITED;
+    lint(&Analysis::of_function(f, ast), config, &mut unlimited)
+        .expect("an unlimited budget never runs out")
 }
 
 /// Runs the dataflow rules (`PST-D001`, `PST-D002`) of [`lint`] over a
@@ -141,7 +151,7 @@ pub struct GraphLint {
 }
 
 /// Lints a raw graph: canonicalizes it, then runs [`lint`] over the
-/// graph unit.
+/// graph unit, with no budget (DOD keeps its own step cap).
 ///
 /// # Errors
 ///
@@ -154,7 +164,9 @@ pub fn lint_graph(
     config: &LintConfig,
 ) -> Result<GraphLint, CanonicalizeError> {
     let canonical = canonicalize(graph, entry, options)?;
-    let report = lint(&Analysis::of_graph(graph, &canonical), config);
+    let (analysis, mut unlimited) = (Analysis::of_graph(graph, &canonical), Budget::UNLIMITED);
+    let report =
+        lint(&analysis, config, &mut unlimited).expect("an unlimited budget never runs out");
     Ok(GraphLint { report, canonical })
 }
 

@@ -25,7 +25,9 @@
 //! * [`EdgeSplit`] — the edge-subdivision transform used as a definitional
 //!   oracle for edge dominance,
 //! * [`group_rows`] — grouping into compressed rows, the layout of
-//!   [`Graph`]'s adjacency and of the core's flat arrays, and
+//!   [`Graph`]'s adjacency and of the core's flat arrays,
+//! * [`Budget`] — the one work limit (steps and/or a deadline) every
+//!   superlinear stage spends from, and
 //! * DOT export helpers for debugging and the examples.
 //!
 //! # Examples
@@ -56,6 +58,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod budget;
 mod canonicalize;
 mod cfg;
 mod dfs;
@@ -69,6 +72,7 @@ mod scc;
 mod split;
 mod undirected;
 
+pub use budget::{Budget, Exhausted};
 pub use canonicalize::{
     canonicalize, CanonicalizationReport, CanonicalizeError, CanonicalizeOptions, Canonicalized,
     Repair, RepairCounts, UnreachablePolicy,

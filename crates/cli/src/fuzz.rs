@@ -11,21 +11,22 @@
 //! re-runnable with `pst --canonicalize <file>`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pst_analysis::Analysis;
-use pst_cfg::{canonicalize, CanonicalizeOptions, Graph, NodeId};
+use pst_cfg::{canonicalize, Budget, CanonicalizeOptions, Graph, NodeId};
 use pst_verify::{
     compute_artifacts_for_cfg, verify_artifacts, verify_strong_on_digraph, VerifyConfig,
+    DEFAULT_ORACLE_BUDGET,
 };
 use pst_workloads::{random_digraph, DigraphConfig};
 
 use crate::{take_value_flag, Failure};
 
-/// Minimization re-runs the full contained pipeline per candidate; cap the
-/// number of candidate evaluations so a pathological failure cannot stall
+/// Minimization re-runs the full contained pipeline per candidate, one
+/// budget step each; cap the steps so a pathological failure cannot stall
 /// the fuzz loop.
-const MAX_MINIMIZE_EVALS: usize = 2_000;
+const MINIMIZE_STEPS: u64 = 2_000;
 
 /// Parsed `pst fuzz` options.
 pub struct FuzzOptions {
@@ -143,9 +144,15 @@ impl Input {
     }
 }
 
-/// Runs the full pipeline on one raw digraph with every checker enabled,
-/// containing panics. Never panics itself.
-fn run_one(graph: &Graph, entry: NodeId, inject: InjectSpec, fault_seed: u64) -> Outcome {
+/// Runs the full pipeline on one raw digraph with every checker enabled
+/// under `config`, containing panics. Never panics itself.
+fn run_one(
+    graph: &Graph,
+    entry: NodeId,
+    inject: InjectSpec,
+    fault_seed: u64,
+    config: &VerifyConfig,
+) -> Outcome {
     let result = catch_unwind(AssertUnwindSafe(|| {
         // Fold this unit's counters into the global aggregate even if it
         // panics: the tally recorded before the crash is data, not noise.
@@ -159,7 +166,7 @@ fn run_one(graph: &Graph, entry: NodeId, inject: InjectSpec, fault_seed: u64) ->
         // away the non-terminating regions where they differ from the
         // classic relation.
         let unit = Analysis::of_graph(graph, &canonical);
-        let strong = verify_strong_on_digraph(&unit, &VerifyConfig::default());
+        let strong = verify_strong_on_digraph(&unit, config);
         if !strong.is_clean() {
             return Outcome::Violation(strong.to_string());
         }
@@ -178,7 +185,7 @@ fn run_one(graph: &Graph, entry: NodeId, inject: InjectSpec, fault_seed: u64) ->
         }
         #[cfg(not(feature = "fault-inject"))]
         let _ = (inject, fault_seed);
-        let report = verify_artifacts(&artifacts, &VerifyConfig::default());
+        let report = verify_artifacts(&artifacts, config);
         if report.is_clean() {
             Outcome::Clean {
                 exhausted: strong_exhausted || !report.exhausted_checkers().is_empty(),
@@ -206,16 +213,16 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Greedy minimization: repeatedly try dropping one edge at a time (the
 /// input must keep failing), then compact away nodes no edge mentions,
-/// until a fixpoint or the evaluation cap.
-fn minimize(mut input: Input, inject: InjectSpec, fault_seed: u64) -> Input {
-    let mut evals = 0usize;
+/// until a fixpoint, [`MINIMIZE_STEPS`] evaluations or `config`'s deadline.
+fn minimize(mut input: Input, inject: InjectSpec, fault_seed: u64, config: &VerifyConfig) -> Input {
+    let mut steps = config.budget.capped(MINIMIZE_STEPS);
     let mut still_fails = |candidate: &Input| {
-        evals += 1;
-        if evals > MAX_MINIMIZE_EVALS {
+        // `spend(0)` reads the clock on every evaluation.
+        if steps.spend(1).and_then(|()| steps.spend(0)).is_err() {
             return false;
         }
         let (g, entry) = candidate.to_graph();
-        run_one(&g, entry, inject, fault_seed).fails()
+        run_one(&g, entry, inject, fault_seed, config).fails()
     };
     loop {
         let mut changed = false;
@@ -318,7 +325,12 @@ pub fn fuzz_command(opts: &FuzzOptions) -> Result<(), Failure> {
     let previous_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
 
-    let start = Instant::now();
+    // One budget bounds the loop, each case's checks and its minimization.
+    let mut budget = Budget::steps(DEFAULT_ORACLE_BUDGET);
+    if let Some(ms) = opts.budget_ms {
+        budget = budget.until(Instant::now() + Duration::from_millis(ms));
+    }
+    let config = VerifyConfig { budget };
     let mut ran = 0u64;
     let mut rejected = 0u64;
     let mut exhausted = 0u64;
@@ -326,13 +338,9 @@ pub fn fuzz_command(opts: &FuzzOptions) -> Result<(), Failure> {
     let mut panics = 0u64;
     let mut first_violation: Option<String> = None;
     let mut first_panic: Option<String> = None;
-    let mut out_of_budget = false;
     for seed in opts.seed_start..opts.seed_end {
-        if let Some(budget) = opts.budget_ms {
-            if start.elapsed().as_millis() as u64 >= budget {
-                out_of_budget = true;
-                break;
-            }
+        if budget.spend(0).is_err() {
+            break;
         }
         let (graph, entry) = random_digraph(&config_for_seed(seed), seed);
         // Each fuzz case is a telemetry unit: its pipeline counters and
@@ -340,7 +348,7 @@ pub fn fuzz_command(opts: &FuzzOptions) -> Result<(), Failure> {
         // aggregate, so a crash can be profiled in isolation.
         let outcome = {
             let _unit = pst_obs::UnitScope::enter(format!("seed:{seed}"));
-            run_one(&graph, entry, inject, seed)
+            run_one(&graph, entry, inject, seed, &config)
         };
         ran += 1;
         pst_obs::counter!("fuzz_inputs");
@@ -353,7 +361,7 @@ pub fn fuzz_command(opts: &FuzzOptions) -> Result<(), Failure> {
             }
             Outcome::Rejected => rejected += 1,
             Outcome::Violation(detail) | Outcome::Panic(detail) => {
-                let small = minimize(Input::of_graph(&graph), inject, seed);
+                let small = minimize(Input::of_graph(&graph), inject, seed, &config);
                 let path = write_reproducer(&opts.out_dir, seed, &small)?;
                 let (kind, what) = if matches!(outcome, Outcome::Panic(_)) {
                     panics += 1;
@@ -387,7 +395,7 @@ pub fn fuzz_command(opts: &FuzzOptions) -> Result<(), Failure> {
          {exhausted} oracle-budget-exhausted, {violations} violations, {panics} contained panics",
         opts.seed_start,
         opts.seed_end,
-        if out_of_budget {
+        if ran < opts.seed_end - opts.seed_start {
             ", stopped on --budget-ms"
         } else {
             ""
@@ -454,7 +462,7 @@ mod tests {
         // trip its own checkers on arbitrary digraph inputs.
         for seed in 0..12u64 {
             let (graph, entry) = random_digraph(&config_for_seed(seed), seed);
-            let outcome = run_one(&graph, entry, None, seed);
+            let outcome = run_one(&graph, entry, None, seed, &VerifyConfig::default());
             assert!(
                 !outcome.fails(),
                 "seed {seed} failed the self-check pipeline"

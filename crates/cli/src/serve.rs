@@ -11,7 +11,7 @@
 //!
 //! Fleet knobs (`docs/SERVING.md` § Operations): `--workers` sizes the
 //! TCP worker pool and session shard count, `--request-timeout-ms` arms
-//! the cooperative per-request deadline, `--max-inflight` bounds the
+//! the per-request deadline, `--max-inflight` bounds the
 //! admission gate (excess is shed with an `overloaded` envelope),
 //! `--cache-snapshot`/`--snapshot-every` persist the cache across
 //! restarts, and `--inject-fault` (fault-inject builds only) turns the

@@ -28,15 +28,25 @@
 //! bounds the quadratic pair enumeration on adversarial graphs and is
 //! reported via [`Dod::is_complete`].
 
-use pst_cfg::{Graph, NodeId, Sccs};
+use pst_cfg::{Budget, Exhausted, Graph, NodeId, Sccs};
 
 use crate::ntscd::{branch_nodes, Inevitability, NO_BRANCH};
 
-/// Default work budget for [`Dod::compute`], in propagation-step
-/// units (one unit ≈ one `O(N + E)` pass). Generous for every graph
-/// the test and bench suites use; adversarial SCC-heavy graphs
-/// truncate instead of stalling.
+/// Default step cap of [`Dod::compute`] (node-plus-edge steps, one
+/// propagation costing `N + E + 1`). Generous for every graph the test
+/// and bench suites use; adversarial SCC-heavy graphs truncate instead
+/// of stalling.
 pub const DEFAULT_DOD_BUDGET: u64 = 50_000_000;
+
+/// Whether `steps` more fit in `budget`: running out of steps truncates
+/// the search, and only a deadline errs.
+fn fits(budget: &mut Budget, steps: u64) -> Result<bool, Exhausted> {
+    match budget.spend(steps) {
+        Ok(()) => Ok(true),
+        Err(Exhausted::Steps { .. }) => Ok(false),
+        Err(deadline) => Err(deadline),
+    }
+}
 
 /// One decisive order dependence: `branch` decides whether `first` or
 /// `second` is reached first, even though both always execute.
@@ -86,15 +96,24 @@ impl Dod {
         Dod::compute_budgeted(graph, DEFAULT_DOD_BUDGET)
     }
 
-    /// Computes DOD witnesses, spending at most `budget` units of
-    /// work (one unit ≈ one `O(N + E)` propagation). When the budget
-    /// runs out the result is truncated and [`Dod::is_complete`]
-    /// returns `false`.
+    /// Computes DOD witnesses under a cap of `budget` steps (at least 16
+    /// propagations, so a tiny graph always finishes). When the cap runs
+    /// out the result is truncated and [`Dod::is_complete`] returns
+    /// `false`.
     pub fn compute_budgeted(graph: &Graph, budget: u64) -> Dod {
+        Dod::compute_within(graph, budget, Budget::UNLIMITED)
+            .expect("an unlimited budget has no deadline")
+    }
+
+    /// [`Dod::compute_budgeted`] with a cap of `cap` steps, under `budget`
+    /// as well, spent per propagation. Running out of steps truncates; a
+    /// deadline that passes returns [`Exhausted::Deadline`] and nothing
+    /// else (see [`Budget`]'s policy).
+    pub fn compute_within(graph: &Graph, cap: u64, budget: Budget) -> Result<Dod, Exhausted> {
         let _span = pst_obs::Span::enter("dod");
         let n = graph.node_count();
         let prop_cost = (n + graph.edge_count() + 1) as u64;
-        let mut props_left = (budget / prop_cost).max(16);
+        let mut budget = budget.capped(cap.max(16 * prop_cost));
 
         let sccs = Sccs::new(graph);
         let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); sccs.count()];
@@ -129,11 +148,10 @@ impl Dod {
             let words = branches.len().div_ceil(64);
             let mut rows: Vec<u64> = vec![0; comp.len() * words];
             for (row, &w) in rows.chunks_exact_mut(words).zip(comp) {
-                if props_left == 0 {
+                if !fits(&mut budget, prop_cost)? {
                     complete = false;
                     break 'outer;
                 }
-                props_left -= 1;
                 propagation.fill(w, None, &mut inevitable);
                 for &x in propagation.marked() {
                     let k = branch_of[x.index()] as usize;
@@ -151,11 +169,10 @@ impl Dod {
                     if both().all(|w| w == 0) {
                         continue;
                     }
-                    if props_left < 2 {
+                    if !fits(&mut budget, 2 * prop_cost)? {
                         complete = false;
                         break 'outer;
                     }
-                    props_left -= 2;
                     pairs_checked += 1;
                     propagation.fill(a, Some(b), &mut ord_ab);
                     propagation.fill(b, Some(a), &mut ord_ba);
@@ -188,10 +205,10 @@ impl Dod {
         }
         witnesses.sort_unstable();
         witnesses.dedup();
-        Dod {
+        Ok(Dod {
             witnesses,
             complete,
-        }
+        })
     }
 
     /// Wraps a precomputed witness list (must be sorted, `first <

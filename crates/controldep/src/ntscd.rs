@@ -29,7 +29,7 @@
 //! relation it needs no exit node and is exactly what makes it able to
 //! describe non-terminating control flow.
 
-use pst_cfg::{Graph, NodeId};
+use pst_cfg::{Budget, Exhausted, Graph, NodeId};
 
 /// The non-termination-sensitive control-dependence relation of a
 /// digraph: for every node, the sorted list of branch nodes it depends
@@ -42,7 +42,7 @@ use pst_cfg::{Graph, NodeId};
 /// dependence cannot express.
 ///
 /// ```
-/// use pst_cfg::{Graph, NodeId};
+/// use pst_cfg::{Budget, Exhausted, Graph, NodeId};
 /// use pst_controldep::Ntscd;
 /// let mut g = Graph::new();
 /// let n = g.add_nodes(4); // 0=entry, 1=header, 2=body, 3=exit
@@ -63,8 +63,15 @@ pub struct Ntscd {
 impl Ntscd {
     /// Computes the NTSCD relation of `graph` in `O(N·(N + E))`.
     pub fn compute(graph: &Graph) -> Ntscd {
+        Ntscd::within(graph, Budget::UNLIMITED).expect("an unlimited budget never runs out")
+    }
+
+    /// [`Ntscd::compute`], spending `N + E + 1` steps of `budget` per
+    /// target node.
+    pub(crate) fn within(graph: &Graph, mut budget: Budget) -> Result<Ntscd, Exhausted> {
         let _span = pst_obs::Span::enter("ntscd");
         let n = graph.node_count();
+        let prop_cost = (n + graph.edge_count() + 1) as u64;
         let branches = branch_nodes(graph);
         let mut branch_of = vec![NO_BRANCH; n];
         for (k, (p, _)) in branches.iter().enumerate() {
@@ -80,6 +87,7 @@ impl Ntscd {
         let mut seen_for = vec![NO_BRANCH; branches.len()];
         let mut deps_total = 0u64;
         for w in graph.nodes() {
+            budget.spend(prop_cost)?;
             propagation.fill(w, None, &mut inevitable);
             candidates.clear();
             for &x in propagation.marked() {
@@ -109,7 +117,7 @@ impl Ntscd {
         if deps_total > 0 {
             pst_obs::counter!("ntscd_deps_total", deps_total);
         }
-        Ntscd { deps }
+        Ok(Ntscd { deps })
     }
 
     /// Wraps a precomputed relation (each inner list must be sorted).

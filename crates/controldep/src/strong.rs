@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use pst_cfg::{Cfg, Graph, NodeId};
+use pst_cfg::{Budget, Cfg, Exhausted, Graph, NodeId};
 use pst_core::ControlRegions;
 use pst_dominators::{dominator_tree_in, Direction};
 
@@ -145,41 +145,48 @@ impl StrongControlDeps {
     /// compares it with the exhaustive oracle under `--paranoid` and in
     /// fuzz runs.
     pub fn of_cfg(cfg: &Cfg) -> StrongControlDeps {
-        let _span = pst_obs::Span::enter("strong_controldep");
         let classic = Some(ClassicControlDeps::compute(cfg));
-        StrongControlDeps::build(cfg.graph(), classic, Dod::from_raw(Vec::new(), true))
+        StrongControlDeps::compute_within(cfg.graph(), classic, None, Budget::UNLIMITED)
+            .expect("an unlimited budget never runs out")
     }
 
     /// Builds the artifact for an arbitrary digraph (no exit, so no
     /// classic relation) — the form `pst fuzz` and graph lints use.
     pub fn of_graph(graph: &Graph) -> StrongControlDeps {
-        let _span = pst_obs::Span::enter("strong_controldep");
-        let dod = Dod::compute_budgeted(graph, DEFAULT_DOD_BUDGET);
-        StrongControlDeps::build(graph, None, dod)
+        StrongControlDeps::compute_within(graph, None, None, Budget::UNLIMITED)
+            .expect("an unlimited budget never runs out")
     }
 
-    /// [`StrongControlDeps::of_graph`] around a DOD the caller already
-    /// computed for `graph` (a lint that ran first, say), so it is not
-    /// computed twice.
-    pub fn of_graph_with_dod(graph: &Graph, dod: Dod) -> StrongControlDeps {
+    /// Builds the artifact under `budget` around the `classic` relation
+    /// of a valid CFG, if `graph` is one, and a `dod` the caller already
+    /// computed (a lint that ran first, say). Without a `dod`, a valid
+    /// CFG's is empty (see [`StrongControlDeps::of_cfg`]) and a digraph's
+    /// is computed under [`DEFAULT_DOD_BUDGET`] and `budget`.
+    pub fn compute_within(
+        graph: &Graph,
+        classic: Option<ClassicControlDeps>,
+        dod: Option<Dod>,
+        budget: Budget,
+    ) -> Result<StrongControlDeps, Exhausted> {
         let _span = pst_obs::Span::enter("strong_controldep");
-        StrongControlDeps::build(graph, None, dod)
-    }
-
-    fn build(graph: &Graph, classic: Option<ClassicControlDeps>, dod: Dod) -> StrongControlDeps {
-        let ntscd = Ntscd::compute(graph);
+        let dod = match (dod, &classic) {
+            (Some(dod), _) => dod,
+            (None, Some(_)) => Dod::from_raw(Vec::new(), true),
+            (None, None) => Dod::compute_within(graph, DEFAULT_DOD_BUDGET, budget)?,
+        };
+        let ntscd = Ntscd::within(graph, budget)?;
         let regions = strong_regions(&ntscd);
         pst_obs::counter!("strong_regions_built");
         pst_obs::gauge!("strong_region_classes", regions.num_classes() as u64);
         for node in graph.nodes() {
             pst_obs::histogram!("ntscd_dep_set_size", ntscd.deps_of(node).len() as u64);
         }
-        StrongControlDeps {
+        Ok(StrongControlDeps {
             ntscd,
             dod,
             classic,
             regions,
-        }
+        })
     }
 
     /// Rebuilds from parts — `pst-verify`'s fault injection swaps one

@@ -45,7 +45,7 @@
 use std::error::Error;
 use std::fmt;
 
-use pst_cfg::{group_rows, EdgeId, Graph, NodeId};
+use pst_cfg::{group_rows, Budget, EdgeId, Exhausted, Graph, NodeId};
 
 use crate::bracket::{BracketArena, BracketId, BracketList, NONE};
 
@@ -506,44 +506,6 @@ pub(crate) fn raw_classes(
     Ok(class)
 }
 
-/// The step budget of a slow cycle-equivalence oracle ran out before the
-/// computation finished.
-///
-/// The quadratic oracles exist for cross-checking; on large graphs a
-/// budgeted call degrades into this error instead of stalling the caller
-/// (e.g. `pst --canonicalize` or the `pst-verify` checkers) for minutes.
-/// Steps are approximate node-plus-edge traversal counts, so budgets are
-/// portable across graph shapes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OracleBudgetExceeded {
-    /// The step budget the call was given.
-    pub budget: u64,
-}
-
-impl fmt::Display for OracleBudgetExceeded {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cycle-equivalence oracle exceeded its step budget of {}",
-            self.budget
-        )
-    }
-}
-
-impl Error for OracleBudgetExceeded {}
-
-/// Deducts `cost` steps from the remaining budget, erring when it runs dry.
-/// `None` means unlimited.
-fn spend(remaining: &mut Option<u64>, cost: u64, budget: u64) -> Result<(), OracleBudgetExceeded> {
-    if let Some(left) = remaining {
-        if *left < cost {
-            return Err(OracleBudgetExceeded { budget });
-        }
-        *left -= cost;
-    }
-    Ok(())
-}
-
 /// Quadratic oracle for **directed** cycle equivalence.
 ///
 /// Edges `a`, `b` are inequivalent iff some directed cycle contains exactly
@@ -556,17 +518,16 @@ fn spend(remaining: &mut Option<u64>, cost: u64, budget: u64) -> Result<(), Orac
 ///
 /// # Errors
 ///
-/// `budget` caps the work in approximate node-plus-edge traversal steps;
-/// `None` is unlimited (the call then always succeeds). A budgeted call
-/// that would exceed the cap returns [`OracleBudgetExceeded`] instead of
-/// running long.
+/// The quadratic oracles exist for cross-checking; `budget` (node-plus-edge
+/// traversal steps, or `None` for unlimited) keeps one from stalling its
+/// caller on a large graph: a call that would exceed it returns
+/// [`Exhausted`] instead of running long.
 pub fn cycle_equiv_slow_directed(
     graph: &Graph,
-    budget: Option<u64>,
-) -> Result<CycleEquiv, OracleBudgetExceeded> {
+    budget: impl Into<Budget>,
+) -> Result<CycleEquiv, Exhausted> {
     let m = graph.edge_count();
-    let total = budget.unwrap_or(0);
-    let mut remaining = budget;
+    let mut budget = budget.into();
     // Each reachability probe walks at most every node and edge once.
     let probe_cost = (graph.node_count() + m) as u64 + 1;
     // on_cycle_avoiding[a][b] = exists directed cycle through a avoiding b.
@@ -589,7 +550,7 @@ pub fn cycle_equiv_slow_directed(
             if *label != NONE {
                 continue;
             }
-            spend(&mut remaining, 2 * probe_cost, total)?;
+            budget.spend(2 * probe_cost)?;
             let b = EdgeId::from_index(j);
             let cyc_a_not_b = in_cycle_avoiding(a, Some(b));
             let cyc_b_not_a = in_cycle_avoiding(b, Some(a));
@@ -611,17 +572,16 @@ pub fn cycle_equiv_slow_directed(
 ///
 /// # Errors
 ///
-/// `budget` caps the work in approximate node-plus-edge traversal steps;
-/// `None` is unlimited (the call then always succeeds). A budgeted call
-/// that would exceed the cap returns [`OracleBudgetExceeded`] instead of
-/// running long.
+/// The quadratic oracles exist for cross-checking; `budget` (node-plus-edge
+/// traversal steps, or `None` for unlimited) keeps one from stalling its
+/// caller on a large graph: a call that would exceed it returns
+/// [`Exhausted`] instead of running long.
 pub fn cycle_equiv_slow_undirected(
     graph: &Graph,
-    budget: Option<u64>,
-) -> Result<CycleEquiv, OracleBudgetExceeded> {
+    budget: impl Into<Budget>,
+) -> Result<CycleEquiv, Exhausted> {
     let m = graph.edge_count();
-    let total = budget.unwrap_or(0);
-    let mut remaining = budget;
+    let mut budget = budget.into();
     let sweep_cost = (graph.node_count() + m) as u64 + 1;
     let mut labels = vec![NONE; m];
     let mut next_label = 0u32;
@@ -630,7 +590,7 @@ pub fn cycle_equiv_slow_undirected(
     // cycle of G - {b}. Precompute per removed edge.
     let mut in_cycle_without: Vec<Vec<bool>> = Vec::with_capacity(m);
     for i in 0..m {
-        spend(&mut remaining, sweep_cost, total)?;
+        budget.spend(sweep_cost)?;
         in_cycle_without.push(edges_on_cycles(graph, Some(EdgeId::from_index(i))));
     }
 
@@ -644,7 +604,7 @@ pub fn cycle_equiv_slow_undirected(
             if labels[j] != NONE {
                 continue;
             }
-            spend(&mut remaining, 1, total)?;
+            budget.spend(1)?;
             let b = EdgeId::from_index(j);
             let cyc_a_not_b = in_cycle_without[j][a.index()];
             let cyc_b_not_a = in_cycle_without[i][b.index()];
@@ -883,11 +843,11 @@ mod tests {
         // A one-step budget cannot even finish the precompute.
         assert_eq!(
             cycle_equiv_slow_undirected(&s, Some(1)).unwrap_err(),
-            OracleBudgetExceeded { budget: 1 }
+            Exhausted::Steps { budget: 1 }
         );
         assert_eq!(
             cycle_equiv_slow_directed(&s, Some(1)).unwrap_err(),
-            OracleBudgetExceeded { budget: 1 }
+            Exhausted::Steps { budget: 1 }
         );
         let err = cycle_equiv_slow_directed(&s, Some(1)).unwrap_err();
         assert!(err.to_string().contains("step budget of 1"));

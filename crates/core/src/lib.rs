@@ -61,7 +61,6 @@ pub use collapse::{collapse_all, CollapsedNode, CollapsedRegion};
 pub use control_regions::ControlRegions;
 pub use cycle_equiv::{
     cycle_equiv_slow_directed, cycle_equiv_slow_undirected, CycleEquiv, CycleEquivError,
-    OracleBudgetExceeded,
 };
 pub use dot::pst_to_dot;
 pub use incremental::{insert_edge, EdgeInsertion, InsertEdgeError};

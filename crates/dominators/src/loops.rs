@@ -82,27 +82,23 @@ impl LoopForest {
         }
 
         // Grow each loop body by backwards reachability stopping at the
-        // header.
+        // header. `seen` holds the index of the last loop that reached a
+        // node, so one array serves every walk.
+        let mut seen = vec![usize::MAX; n];
+        let mut stack: Vec<NodeId> = Vec::new();
         let mut loops: Vec<NaturalLoop> = Vec::with_capacity(headers.len());
-        for &h in &headers {
-            let mut in_body = vec![false; n];
-            in_body[h.index()] = true;
-            let mut stack: Vec<NodeId> = latches_of[h.index()].clone();
-            for &l in &stack {
-                in_body[l.index()] = true;
-            }
+        for (i, &h) in headers.iter().enumerate() {
+            seen[h.index()] = i;
+            let mut body = vec![h];
+            stack.extend(&latches_of[h.index()]);
             while let Some(v) = stack.pop() {
-                if v == h {
-                    continue; // the walk stops at the header
-                }
-                for p in graph.predecessors(v) {
-                    if !in_body[p.index()] {
-                        in_body[p.index()] = true;
-                        stack.push(p);
-                    }
+                if seen[v.index()] != i {
+                    seen[v.index()] = i;
+                    body.push(v);
+                    stack.extend(graph.predecessors(v));
                 }
             }
-            let body: Vec<NodeId> = graph.nodes().filter(|v| in_body[v.index()]).collect();
+            body.sort_unstable();
             loops.push(NaturalLoop {
                 header: h,
                 body,
@@ -110,25 +106,17 @@ impl LoopForest {
             });
         }
 
-        // Nesting: sort by body size ascending; the parent of a loop is
-        // the smallest strictly larger loop containing its header.
+        // Paint loops onto their nodes largest first, so the innermost loop
+        // of a node paints it last. Two natural loops that share a node
+        // nest, the outer one strictly larger, so the loop painted on a
+        // header when its own loop comes up is the smallest strictly larger
+        // loop containing it: the parent.
         let mut order: Vec<usize> = (0..loops.len()).collect();
-        order.sort_by_key(|&i| loops[i].body.len());
-        for oi in 0..order.len() {
-            let i = order[oi];
-            for &j in &order[oi + 1..] {
-                if loops[j].body.len() > loops[i].body.len() && loops[j].contains(loops[i].header) {
-                    loops[i].parent = Some(j);
-                    break;
-                }
-            }
-        }
-
-        // Innermost loop per node: paint largest loops first so the
-        // smallest (innermost) wins.
+        order.sort_by_key(|&i| std::cmp::Reverse(loops[i].body.len()));
         let mut innermost: Vec<Option<usize>> = vec![None; n];
-        for &i in order.iter().rev() {
-            for &v in &loops[i].body {
+        for i in order {
+            loops[i].parent = innermost[loops[i].header.index()];
+            for v in &loops[i].body {
                 innermost[v.index()] = Some(i);
             }
         }

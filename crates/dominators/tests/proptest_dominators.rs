@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use pst_cfg::NodeId;
 use pst_dominators::{
     dominance_frontiers, dominator_tree, dominator_tree_in, iterative_dominator_tree, Direction,
+    LoopForest,
 };
 use pst_workloads::random_cfg;
 
@@ -38,6 +39,52 @@ proptest! {
                 let dominated = a == b || a == cfg.entry() || !seen[b.index()];
                 prop_assert_eq!(dt.dominates(a, b), dominated, "{:?} dom {:?}", a, b);
             }
+        }
+    }
+
+    /// `v` is in the natural loop of `h` iff `h` dominates `v` and `v`
+    /// reaches a latch of `h` (a predecessor `h` dominates) without
+    /// passing through `h`, checked by a forward search per node; a loop's
+    /// parent is the smallest strictly larger loop holding its header.
+    #[test]
+    fn loop_bodies_match_the_definition(n in 3usize..24, extra in 0usize..24, seed in 0u64..10_000) {
+        let cfg = random_cfg(n, extra, seed).unwrap();
+        let g = cfg.graph();
+        let dt = dominator_tree(g, cfg.entry());
+        let forest = LoopForest::compute(&cfg);
+        let is_header = |h: NodeId| g.predecessors(h).any(|u| dt.dominates(h, u));
+        prop_assert_eq!(forest.loops().len(), g.nodes().filter(|&h| is_header(h)).count());
+        for l in forest.loops() {
+            let h = l.header;
+            prop_assert!(is_header(h));
+            let reaches_latch_avoiding_h = |v: NodeId| {
+                let mut seen = vec![false; g.node_count()];
+                seen[v.index()] = true;
+                let mut stack = vec![v];
+                while let Some(x) = stack.pop() {
+                    if g.successors(x).any(|s| s == h) && dt.dominates(h, x) {
+                        return true;
+                    }
+                    for s in g.successors(x) {
+                        if s != h && !seen[s.index()] {
+                            seen[s.index()] = true;
+                            stack.push(s);
+                        }
+                    }
+                }
+                false
+            };
+            for v in g.nodes() {
+                let member = v == h || (dt.dominates(h, v) && reaches_latch_avoiding_h(v));
+                prop_assert_eq!(l.contains(v), member, "{:?} in the loop of {:?}", v, h);
+            }
+            let parent = (0..forest.loops().len())
+                .filter(|&j| {
+                    let outer = &forest.loops()[j];
+                    outer.body.len() > l.body.len() && outer.contains(h)
+                })
+                .min_by_key(|&j| forest.loops()[j].body.len());
+            prop_assert_eq!(l.parent, parent);
         }
     }
 

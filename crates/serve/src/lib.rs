@@ -17,7 +17,7 @@
 //!
 //! The daemon is built to survive fleets, not demos: a bounded worker
 //! pool serves concurrent TCP connections against sharded sessions
-//! ([`shared`]), cooperative per-request deadlines and an in-flight
+//! ([`shared`]), per-request deadlines and an in-flight
 //! admission gate bound tail latency under overload (`deadline_exceeded`
 //! / `overloaded` envelopes), `drain`/`shutdown` finish in-flight work
 //! before exiting, and the cache persists across restarts through

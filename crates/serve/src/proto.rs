@@ -122,7 +122,7 @@ pub enum ErrorCode {
     /// The pipeline rejected the input with a proper error.
     AnalysisError,
     /// The request ran past its `--request-timeout-ms` budget and was
-    /// abandoned at a cooperative checkpoint between analysis phases.
+    /// abandoned, between analysis phases or inside a superlinear one.
     DeadlineExceeded,
     /// The daemon is saturated (or draining) and shed this request
     /// before doing any work; the envelope carries a `retry_after_ms`

@@ -25,10 +25,12 @@
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pst_analysis::{Analysis, LintConfig};
-use pst_cfg::{canonicalize, parse_edge_list_graph, CanonicalizeOptions, NodeId};
+use pst_cfg::{
+    canonicalize, parse_edge_list_graph, Budget, CanonicalizeOptions, Exhausted, NodeId,
+};
 use pst_controldep::{ClassicControlDeps, DodWitness};
 use pst_core::{ControlRegions, ProgramStructureTree, PstStats};
 use pst_dataflow::{solve_iterative, SingleVariableReachingDefs};
@@ -66,7 +68,7 @@ pub enum ServeFault {
     /// containment + quarantine).
     Panic,
     /// Periodically sleep 50ms inside the analysis path (exercises the
-    /// cooperative deadline).
+    /// request deadline).
     Slow,
     /// Periodically compute the answer but drop the connection without
     /// replying (exercises client reconnect/retry).
@@ -112,8 +114,10 @@ pub struct ServeConfig {
     /// is an independent `Mutex<Session>`, so requests for different
     /// units proceed in parallel). Stdio mode forces 1.
     pub workers: usize,
-    /// Cooperative per-request deadline in milliseconds (0 = none);
-    /// checked between analysis phases, answered `deadline_exceeded`.
+    /// Per-request deadline in milliseconds (0 = none), answered
+    /// `deadline_exceeded`: the request's [`Budget`], checked between
+    /// phases and spent inside the superlinear ones (NTSCD, DOD and
+    /// `PST-C101`'s guard peeling).
     pub request_timeout_ms: u64,
     /// Admission gate: maximum analysis requests in flight at once
     /// (0 = unlimited). Excess requests are shed with an `overloaded`
@@ -266,42 +270,13 @@ pub(crate) type MethodError = (ErrorCode, String);
 /// results)`.
 pub(crate) type ExportedUnit = (u64, String, Vec<(&'static str, Json)>);
 
-/// The in-flight request's cooperative deadline, checked at phase
-/// boundaries (after registration, after fault injection, and between
-/// per-function analyses). There is no preemption: a single pathological
-/// phase can overrun, but the paper's linear-time bounds keep phases
-/// short, so boundary checks bound the overshoot tightly in practice.
-#[derive(Clone, Copy)]
-struct Deadline {
-    at: Option<Instant>,
-    budget_ms: u64,
-}
-
-impl Deadline {
-    /// `budget_ms` from `started`; 0 is no deadline.
-    fn starting(started: Instant, budget_ms: u64) -> Deadline {
-        Deadline {
-            at: (budget_ms > 0).then(|| started + std::time::Duration::from_millis(budget_ms)),
-            budget_ms,
-        }
-    }
-
-    fn check(self) -> Result<(), MethodError> {
-        match self.at {
-            Some(at) if Instant::now() >= at => {
-                pst_obs::counter!("serve_deadline_exceeded");
-                Err((
-                    ErrorCode::DeadlineExceeded,
-                    format!(
-                        "request exceeded its {}ms budget (--request-timeout-ms); \
-                         partial work was abandoned at a phase boundary",
-                        self.budget_ms
-                    ),
-                ))
-            }
-            _ => Ok(()),
-        }
-    }
+/// The reply to a request whose budget (`--request-timeout-ms`) ran out.
+fn over_budget(exhausted: Exhausted) -> MethodError {
+    pst_obs::counter!("serve_deadline_exceeded");
+    (
+        ErrorCode::DeadlineExceeded,
+        format!("request {exhausted} (--request-timeout-ms); partial work was abandoned"),
+    )
 }
 
 /// One cache shard. It answers unit methods; control methods get an
@@ -428,13 +403,16 @@ impl Session {
                 ),
             );
         }
-        let deadline = Deadline::starting(started, self.config.request_timeout_ms);
+        let mut budget = Budget::UNLIMITED;
+        if self.config.request_timeout_ms > 0 {
+            budget = budget.until(started + Duration::from_millis(self.config.request_timeout_ms));
+        }
         let outcome = contain(|| {
             // Fold this request's thread-local counters into the global
             // aggregate even if it panics: work done before the crash is
             // data, not noise.
             let _fold = pst_obs::fold_on_drop();
-            self.answer(req, key, deadline)
+            self.answer(req, key, budget)
         });
         let nanos = started.elapsed().as_nanos() as u64;
         pst_obs::histogram!("serve_request_nanos", nanos);
@@ -524,7 +502,7 @@ impl Session {
         &mut self,
         req: &Request,
         key: Option<u64>,
-        deadline: Deadline,
+        mut budget: Budget,
     ) -> Result<Answer, MethodError> {
         let Some(key) = key else {
             return Err((
@@ -560,7 +538,7 @@ impl Session {
             pst_obs::counter!("serve_cache_eviction", evicted);
         }
         let register_nanos = register_started.elapsed().as_nanos() as u64;
-        deadline.check()?;
+        budget.spend(0).map_err(over_budget)?;
 
         // Fault injection sits after unit resolution on purpose: a test
         // panic must exercise the quarantine path, not dodge it. The
@@ -573,7 +551,7 @@ impl Session {
         }
         let drop_conn = self.daemon_fault()?;
         let inject_nanos = inject_started.elapsed().as_nanos() as u64;
-        deadline.check()?;
+        budget.spend(0).map_err(over_budget)?;
 
         let method = req.method.name();
         let Some(unit) = self.cache.peek_mut(key) else {
@@ -596,7 +574,7 @@ impl Session {
         }
         pst_obs::counter!("serve_stage_miss");
         let compute_started = Instant::now();
-        let result = compute(unit, req.method, deadline)?;
+        let result = compute(unit, req.method, &mut budget)?;
         let compute_nanos = compute_started.elapsed().as_nanos() as u64;
         unit.memoize(method, &result);
         let bytes = unit.approx_bytes();
@@ -783,11 +761,10 @@ fn register(kind: u64, source: &str) -> Result<Unit, MethodError> {
     })
 }
 
-/// Computes one method's result over a resident unit. The deadline is
-/// re-checked between per-function analyses (the phase boundaries of a
-/// multi-function mini unit); a single function's pipeline runs to
-/// completion once started.
-fn compute(unit: &Unit, method: Method, deadline: Deadline) -> Result<Json, MethodError> {
+/// Computes one method's result over a resident unit under `budget`,
+/// which is also checked between the per-function analyses of a mini
+/// unit.
+fn compute(unit: &Unit, method: Method, budget: &mut Budget) -> Result<Json, MethodError> {
     match (unit.kind, method) {
         (KIND_MINI, Method::Canonicalize) => Err((
             ErrorCode::Unsupported,
@@ -798,8 +775,8 @@ fn compute(unit: &Unit, method: Method, deadline: Deadline) -> Result<Json, Meth
             .analyses
             .iter()
             .map(|analysis| {
-                deadline.check()?;
-                method_json(analysis, method)
+                budget.spend(0).map_err(over_budget)?;
+                method_json(analysis, method, budget)
             })
             .collect::<Result<_, _>>()
             .map(Json::Arr),
@@ -810,13 +787,17 @@ fn compute(unit: &Unit, method: Method, deadline: Deadline) -> Result<Json, Meth
                 method.name()
             ),
         )),
-        _ => method_json(&unit.analyses[0], method),
+        _ => method_json(&unit.analyses[0], method, budget),
     }
 }
 
 /// One method's result over one analysis: a function of a mini unit, or
-/// an edge unit's graph (named `<edges>`).
-fn method_json(analysis: &Analysis<'_>, method: Method) -> Result<Json, MethodError> {
+/// an edge unit's graph (named `<edges>`), under `budget`.
+fn method_json(
+    analysis: &Analysis<'_>,
+    method: Method,
+    budget: &mut Budget,
+) -> Result<Json, MethodError> {
     let (function, canonical) = (analysis.function(), analysis.canonical());
     let name = function.map_or("<edges>", |f| f.name.as_str());
     Ok(match (method, function, canonical) {
@@ -837,8 +818,10 @@ fn method_json(analysis: &Analysis<'_>, method: Method) -> Result<Json, MethodEr
             analysis.pst(),
         ),
         (Method::ControlRegions, ..) => control_regions_json(name, analysis.control_regions()),
-        (Method::Controldep, ..) => controldep_json(name, analysis),
-        (Method::Lint, ..) => pst_analysis::lint(analysis, &LintConfig::new()).to_json(name),
+        (Method::Controldep, ..) => controldep_json(name, analysis, budget)?,
+        (Method::Lint, ..) => pst_analysis::lint(analysis, &LintConfig::new(), budget)
+            .map_err(over_budget)?
+            .to_json(name),
         (Method::Ssa, Some(f), _) => ssa_json(f, analysis)?,
         (Method::Dataflow, Some(f), _) => dataflow_json(f, analysis)?,
         (Method::Canonicalize, _, Some(canonical)) => {
@@ -911,8 +894,12 @@ fn control_regions_json(name: &str, cr: &ControlRegions) -> Json {
 /// (no canonicalization, non-terminating regions intact); the classic
 /// relation needs a valid CFG, so its size is reported from the
 /// Definition-1 repair for comparison.
-fn controldep_json(name: &str, analysis: &Analysis<'_>) -> Json {
-    let strong = analysis.strong();
+fn controldep_json(
+    name: &str,
+    analysis: &Analysis<'_>,
+    budget: &mut Budget,
+) -> Result<Json, MethodError> {
+    let strong = analysis.strong(budget).map_err(over_budget)?;
     let (ntscd, dod) = (strong.ntscd(), strong.dod());
     let index = |n: NodeId| Json::UInt(n.index() as u64);
     let witness =
@@ -952,7 +939,7 @@ fn controldep_json(name: &str, analysis: &Analysis<'_>) -> Json {
             Json::UInt(classic.relation_size() as u64),
         ));
     }
-    Json::obj(fields)
+    Ok(Json::obj(fields))
 }
 
 fn ssa_json(f: &LoweredFunction, analysis: &Analysis<'_>) -> Result<Json, MethodError> {
@@ -1138,20 +1125,43 @@ mod tests {
     fn an_edge_units_memoized_dod_counts_toward_its_bytes() {
         // Branch 0 orders the always-executing pair 1, 2: one DOD witness.
         let unit = register(KIND_EDGES, "0->1\n0->2\n1->2\n2->1\n").unwrap();
-        let no_deadline = Deadline {
-            at: None,
-            budget_ms: 0,
-        };
-        compute(&unit, Method::ControlRegions, no_deadline).unwrap();
+        let mut no_deadline = Budget::UNLIMITED;
+        compute(&unit, Method::ControlRegions, &mut no_deadline).unwrap();
         let before = unit.approx_bytes() - unit.results_bytes;
         // `lint` reuses the control regions and adds only the DOD.
-        let lint = compute(&unit, Method::Lint, no_deadline).unwrap();
+        let lint = compute(&unit, Method::Lint, &mut no_deadline).unwrap();
         assert!(lint.to_string().contains("PST-C103"), "{lint}");
         let after = unit.approx_bytes() - unit.results_bytes;
         assert!(
             after > before,
             "the DOD lint kept is not counted: {before} -> {after}"
         );
+    }
+
+    #[test]
+    fn the_deadline_reaches_into_ntscd_and_keeps_the_unit() {
+        // NTSCD on a ladder of 3,000 diamonds takes far longer than the
+        // 50ms it gets; only the deadline spent inside it cuts it short.
+        let ladder: String = (0..3_000)
+            .map(|i| format!("if (n > {i}) {{ a = a + {i}; }} else {{ b = a; }}\n"))
+            .collect();
+        let source = Json::Str(format!(
+            "fn f(n) {{ a = 0; b = 0; {ladder} return a + b; }}"
+        ));
+        let mut s = session();
+        let registered =
+            parsed(&s.handle_line(&format!(r#"{{"method": "pst", "source": {source}}}"#)));
+        let unit = registered
+            .get("unit")
+            .expect("an ok reply names its unit")
+            .clone();
+        s.config.request_timeout_ms = 50;
+        let r = parsed(&s.handle_line(&format!(r#"{{"method": "controldep", "unit": {unit}}}"#)));
+        let code = r.get("error").and_then(|e| e.get("code"));
+        assert_eq!(code, Some(&Json::Str("deadline_exceeded".into())), "{r}");
+        // The unit was not quarantined, and nothing partial was kept.
+        let ok = parsed(&s.handle_line(&format!(r#"{{"method": "pst", "unit": {unit}}}"#)));
+        assert_eq!(ok.get("ok"), Some(&Json::Bool(true)), "{ok}");
     }
 
     #[cfg(feature = "fault-inject")]

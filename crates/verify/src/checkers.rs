@@ -19,7 +19,7 @@
 //! Partition comparison is delegated to `pst_controldep::canonical_partition`
 //! — the one canonical helper the whole workspace shares.
 
-use pst_cfg::{Cfg, EdgeId, EdgeSplit, Graph, NodeId, Sccs};
+use pst_cfg::{Budget, Cfg, EdgeId, EdgeSplit, Graph, NodeId, Sccs};
 use pst_controldep::{canonical_partition, fow_control_regions, StrongControlDeps};
 use pst_core::{
     cycle_equiv_slow_undirected, CanonicalRegions, ControlRegions, ProgramStructureTree,
@@ -43,7 +43,7 @@ use crate::strong_oracle::{
 pub fn check_cycle_equiv(
     cfg: &Cfg,
     detection: &CanonicalRegions,
-    budget: Option<u64>,
+    budget: impl Into<Budget>,
 ) -> ViolationReport {
     let mut report = ViolationReport::new(CheckerId::CycleEquiv);
     let (s, _virtual_edge) = cfg.to_strongly_connected();
@@ -424,7 +424,7 @@ fn fmt_nodes(nodes: &[NodeId]) -> String {
 pub fn check_ntscd(
     graph: &Graph,
     strong: &StrongControlDeps,
-    budget: Option<u64>,
+    budget: impl Into<Budget>,
 ) -> ViolationReport {
     let mut report = ViolationReport::new(CheckerId::Ntscd);
     let n = graph.node_count();
@@ -437,7 +437,7 @@ pub fn check_ntscd(
         return report;
     }
     let cost = (n as u64) * (n as u64 + graph.edge_count() as u64 + 1);
-    if budget.is_some_and(|b| cost > b) {
+    if budget.into().spend(cost).is_err() {
         report.budget_exhausted = true;
         return report;
     }
@@ -483,14 +483,15 @@ pub fn check_ntscd(
 pub fn check_dod(
     graph: &Graph,
     strong: &StrongControlDeps,
-    budget: Option<u64>,
+    budget: impl Into<Budget>,
 ) -> ViolationReport {
     let mut report = ViolationReport::new(CheckerId::Dod);
+    let mut budget = budget.into();
     let dod = strong.dod();
     let n = graph.node_count() as u64;
     let per_pass = n + graph.edge_count() as u64 + 1;
     let full_cost = n * n * per_pass;
-    if dod.is_complete() && budget.is_none_or(|b| full_cost <= b) {
+    if dod.is_complete() && budget.spend(full_cost).is_ok() {
         // Exact comparison both ways.
         let got: Vec<(NodeId, NodeId, NodeId)> = dod
             .witnesses()
@@ -529,7 +530,7 @@ pub fn check_dod(
     // Budget (or declared truncation) forbids full enumeration: still
     // re-prove each reported witness individually.
     let witness_cost = (dod.witnesses().len() as u64) * 4 * per_pass;
-    if budget.is_some_and(|b| witness_cost > b) {
+    if budget.spend(witness_cost).is_err() {
         report.budget_exhausted = true;
         return report;
     }

@@ -65,7 +65,7 @@ mod tests {
         let cfg = parse_edge_list("0->1 1->2 2->1 1->3").unwrap();
         let artifacts = compute_artifacts_for_cfg(&cfg);
         let config = VerifyConfig {
-            oracle_budget: Some(1),
+            budget: pst_cfg::Budget::steps(1),
         };
         let report = verify_artifacts(&artifacts, &config);
         assert!(report.is_clean(), "{report}");

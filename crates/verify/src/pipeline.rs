@@ -6,7 +6,7 @@
 //! checking — exactly the seam where a real bug would sit.
 
 use pst_analysis::Analysis;
-use pst_cfg::Cfg;
+use pst_cfg::{Budget, Cfg};
 use pst_controldep::StrongControlDeps;
 use pst_core::{CanonicalRegions, ControlRegions, ProgramStructureTree};
 use pst_lang::{BlockInfo, LoweredFunction, StmtInfo, VarId};
@@ -16,11 +16,11 @@ use crate::checkers::{
     check_control_regions, check_cycle_equiv, check_dod, check_ntscd, check_phi, check_pst,
     check_sese,
 };
-use crate::report::VerifyReport;
+use crate::report::{CheckerId, VerifyReport, ViolationReport};
 
-/// Default step budget for the slow cycle-equivalence oracle: ample for
-/// fuzz-sized graphs, small enough that a pathological input degrades to
-/// "inconclusive" instead of stalling the run.
+/// Default step budget of each oracle check: ample for fuzz-sized graphs,
+/// small enough that a pathological input degrades to "inconclusive"
+/// instead of stalling the run.
 pub const DEFAULT_ORACLE_BUDGET: u64 = 20_000_000;
 
 /// Number of synthetic variables woven into [`synthetic_function`].
@@ -29,15 +29,16 @@ const SYNTHETIC_VARS: usize = 3;
 /// Tuning for [`verify_artifacts`].
 #[derive(Clone, Copy, Debug)]
 pub struct VerifyConfig {
-    /// Step budget for the slow cycle-equivalence oracle (`None` =
-    /// unlimited). Exhaustion marks the check inconclusive, not failed.
-    pub oracle_budget: Option<u64>,
+    /// The budget each oracle check gets a copy of (steps and, for `pst
+    /// fuzz`, its `--budget-ms` deadline). Running out marks the check
+    /// inconclusive, not failed.
+    pub budget: Budget,
 }
 
 impl Default for VerifyConfig {
     fn default() -> Self {
         VerifyConfig {
-            oracle_budget: Some(DEFAULT_ORACLE_BUDGET),
+            budget: Budget::steps(DEFAULT_ORACLE_BUDGET),
         }
     }
 }
@@ -112,13 +113,17 @@ pub fn compute_artifacts(analysis: &Analysis<'_>) -> PipelineArtifacts {
     let phi = analysis.phi().expect("CFG/PST pair is consistent");
     let pst = analysis.pst();
     let detection = pst.detection().expect("build always records detection");
+    let mut unlimited = Budget::UNLIMITED;
     PipelineArtifacts {
         function: function.clone(),
         detection: detection.clone(),
         pst: pst.clone(),
         control_regions: analysis.control_regions().clone(),
         phi: phi.placement.clone(),
-        strong: analysis.strong().clone(),
+        strong: analysis
+            .strong(&mut unlimited)
+            .expect("an unlimited budget never runs out")
+            .clone(),
     }
 }
 
@@ -136,13 +141,13 @@ pub fn verify_artifacts(artifacts: &PipelineArtifacts, config: &VerifyConfig) ->
     let _span = pst_obs::Span::enter("verify");
     let cfg = artifacts.cfg();
     let reports = vec![
-        check_cycle_equiv(cfg, &artifacts.detection, config.oracle_budget),
+        check_cycle_equiv(cfg, &artifacts.detection, config.budget),
         check_sese(cfg, &artifacts.detection),
         check_pst(cfg, &artifacts.pst),
         check_control_regions(cfg, &artifacts.control_regions),
         check_phi(&artifacts.function, &artifacts.phi),
-        check_ntscd(cfg.graph(), &artifacts.strong, config.oracle_budget),
-        check_dod(cfg.graph(), &artifacts.strong, config.oracle_budget),
+        check_ntscd(cfg.graph(), &artifacts.strong, config.budget),
+        check_dod(cfg.graph(), &artifacts.strong, config.budget),
     ];
     tally(VerifyReport { reports })
 }
@@ -153,11 +158,21 @@ pub fn verify_artifacts(artifacts: &PipelineArtifacts, config: &VerifyConfig) ->
 /// show the behaviour canonicalization would patch away.
 pub fn verify_strong_on_digraph(analysis: &Analysis<'_>, config: &VerifyConfig) -> VerifyReport {
     let _span = pst_obs::Span::enter("verify_strong");
-    let (graph, strong) = (analysis.input_graph(), analysis.strong());
-    let reports = vec![
-        check_ntscd(graph, strong, config.oracle_budget),
-        check_dod(graph, strong, config.oracle_budget),
-    ];
+    let (graph, mut budget) = (analysis.input_graph(), config.budget);
+    let reports = match analysis.strong(&mut budget) {
+        Ok(strong) => vec![
+            check_ntscd(graph, strong, config.budget),
+            check_dod(graph, strong, config.budget),
+        ],
+        // No relation to check within the budget: both checks are
+        // inconclusive.
+        Err(_) => [CheckerId::Ntscd, CheckerId::Dod]
+            .map(|id| ViolationReport {
+                budget_exhausted: true,
+                ..ViolationReport::new(id)
+            })
+            .into(),
+    };
     tally(VerifyReport { reports })
 }
 

@@ -72,8 +72,8 @@ pub struct ViolationReport {
     pub violations: Vec<String>,
     /// Total violations found, including ones not recorded.
     pub violation_count: usize,
-    /// The checker's oracle hit its step budget and the check is
-    /// *inconclusive* (no violations were established).
+    /// The checker's oracle ran out of its [`pst_cfg::Budget`] and the
+    /// check is *inconclusive* (no violations were established).
     pub budget_exhausted: bool,
 }
 

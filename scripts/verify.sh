@@ -428,6 +428,40 @@ assert counters["serve_cache_hit"] == 2, counters
 print("serve OK: unit", replies[0]["unit"], "answered, cached, and shut down")
 EOF
 
+echo "== smoke: pst serve --request-timeout-ms reaches into NTSCD =="
+# NTSCD is quadratic: `controldep` on a function of 8,000 if/else
+# statements takes several seconds. Under a 1 s timeout the request must
+# answer deadline_exceeded within 1.5 s (margin for a busy machine), and
+# the unit must stay cached: a `pst` request by unit id answers ok.
+python3 - <<'EOF'
+import json, subprocess, time
+body = "".join(f"  if (n > {i}) {{ a = a + {i}; }} else {{ b = a; }}\n" for i in range(8000))
+src = "fn f(n) {\n  a = 0;\n  b = 0;\n" + body + "  return a + b;\n}\n"
+def daemon(*flags):
+    return subprocess.Popen(["./target/release/pst", "serve", *flags],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+def ask(proc, request):
+    proc.stdin.write(json.dumps(request) + "\n")
+    proc.stdin.flush()
+    started = time.perf_counter()
+    reply = json.loads(proc.stdout.readline())
+    return reply, time.perf_counter() - started
+# The unit id is the content hash; learn it from a daemon without a timeout.
+probe = daemon()
+unit = ask(probe, {"id": 0, "method": "pst", "source": src})[0]["unit"]
+probe.stdin.close()
+assert probe.wait(timeout=30) == 0
+timed = daemon("--request-timeout-ms", "1000")
+reply, seconds = ask(timed, {"id": 1, "method": "controldep", "source": src})
+assert not reply["ok"] and reply["error"]["code"] == "deadline_exceeded", reply
+assert seconds < 1.5, f"deadline_exceeded after {seconds:.2f} s"
+reply, _ = ask(timed, {"id": 2, "method": "pst", "unit": unit})
+assert reply["ok"] and reply["unit"] == unit, reply
+timed.stdin.close()
+assert timed.wait(timeout=30) == 0
+print(f"deadline OK: controldep cut at {seconds:.2f} s; unit {unit} still resident")
+EOF
+
 echo "== smoke: pst serve --cache-snapshot (crash-safe warm restart) =="
 # First life computes a unit and drains (which flushes a snapshot);
 # the second life's very first repeat query must be a cache hit.
